@@ -168,5 +168,6 @@ def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:
         raise PDividesBase(f"{a} is divisible by {p}")
     t = pow(a, p - 1, p ** (k + 1))
     num = t - 1
-    assert num % p == 0, "Fermat's little theorem violated, internal error"
+    if num % p:
+        raise ArithmeticError("Fermat's little theorem violated, internal error")
     return Residue(num // p, PrimePowerModulus(p, k))

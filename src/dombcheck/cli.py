@@ -425,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # reports print exact decimal strings, which may pass Python's default
+    # 4300-digit int-to-str limit (Domb(n) does from n = 3576)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     if getattr(args, "cmd", "") == "verify" and args.jobs is None:
         args.jobs = _default_jobs()

@@ -7,7 +7,8 @@ here is a falsification event, not a soft failure.
 
 Check catalog (ids as used throughout the tool):
 
-  cz, sunzh, ctyz   Domb(n) against its three transformed summations
+  cz, sunzh, ctyz   Domb(n) by its defining sum against its three
+                      transformed summations
   c2                inner sum  sum_{k=i}^{n-1} (3k+1)(-2)^-k C(k+2i,3i)
                       = (n-i) C(n+2i,3i) (-2)^(1-n)
   d2                inner sum  sum_{k=2i}^{n-1} (-2)^k (3k+2) C(k+i,3i)
@@ -44,6 +45,7 @@ from .sequences import (
     catalan,
     central_binomial,
     domb,
+    domb_by_definition,
     domb_via_cz,
     domb_via_ctyz,
     domb_via_sunzh,
@@ -90,7 +92,7 @@ def check_transformation(tag: str, n: int) -> IdentityReport:
         raise ValueError(f"unknown transformation {tag!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _report(tag, (n,), domb(n), routes[tag](n))
+    return _report(tag, (n,), domb_by_definition(n), routes[tag](n))
 
 
 def check_c2(n: int, i: int) -> IdentityReport:

@@ -1,15 +1,21 @@
 """Integer sequence generators: Domb, Franel, Euler, Catalan, central binomials.
 
-All values are exact.  The Domb numbers are produced by direct summation of
-the defining formula
+All values are exact.  The Domb table is filled by the three-term recurrence
+of Chan, Chan & Liu (Adv. Math. 186, 2004)
+
+    n^3 D(n) = 2(2n-1)(5n^2-5n+2) D(n-1) - 64 (n-1)^3 D(n-2),
+
+seeded with D(0) = 1 and D(1) = 4.  The defining sum
 
     Domb(n) = sum_{k=0}^{n} C(n,k)^2 C(2k,k) C(2n-2k,n-k)
 
-with each row's terms generated by exact multiplicative updates (every
-intermediate division is checked to be exact), plus three independent
-transformed summations used for cross-validation.  Partial sums of the two
-1/pi-type series are accumulated as exact rationals and only converted to a
-float at the very end.
+stays available as its own route, `domb_by_definition`, which evaluates one
+row from scratch and shares nothing with the table.  Three transformed
+summations cross-validate both.  Every exact division in these generators
+is checked and raises ArithmeticError on a remainder, so the guards survive
+`python -O`.  Partial sums of the two 1/pi-type series are accumulated as
+integer numerators over a common power-of-two denominator, turned into one
+exact rational at the end and only then converted to a float.
 """
 
 from __future__ import annotations
@@ -65,41 +71,61 @@ class SequenceTable:
         return len(self._vals) - 1
 
 
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact division by {den}, internal error")
+    return q
+
+
 def _central_step(vals):
     n = len(vals)
     if n == 0:
         return 1
-    v = vals[n - 1] * (4 * n - 2)
-    assert v % n == 0
-    return v // n
+    return _exact_div(vals[n - 1] * (4 * n - 2), n)
 
 
 central_binomial = SequenceTable("central_binomial", _central_step)
 
 
 def _domb_step(vals):
-    # one row of the defining double-product sum, folded by the k <-> n-k symmetry
     n = len(vals)
-    t = central_binomial[n]  # the k = 0 term C(2n, n)
-    total = 0
-    for k in range(n // 2 + 1):
-        total += t if 2 * k == n else 2 * t
-        if k < n // 2:
-            num = t * ((n - k) ** 3 * (2 * k + 1))
-            den = (k + 1) ** 3 * (2 * (n - k) - 1)
-            assert num % den == 0
-            t = num // den
-    return total
+    if n < 2:
+        return (1, 4)[n]
+    num = (
+        2 * (2 * n - 1) * (5 * n * n - 5 * n + 2) * vals[n - 1]
+        - 64 * (n - 1) ** 3 * vals[n - 2]
+    )
+    return _exact_div(num, n ** 3)
 
 
 _domb_table = SequenceTable("domb", _domb_step)
 
 
 def domb(n: int) -> int:
-    """The n-th Domb number, sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k)."""
+    """The n-th Domb number, sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k), read from
+    the table that the three-term recurrence fills."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _domb_table[n]
+
+
+def domb_by_definition(n: int) -> int:
+    """Domb(n) by its defining sum, one row from scratch and without a table.
+
+    The terms are generated by exact multiplicative updates from C(2n, n),
+    and the row is folded by the k <-> n-k symmetry.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    t = binomial(2 * n, n)  # the k = 0 term
+    total = 0
+    for k in range(n // 2 + 1):
+        total += t if 2 * k == n else 2 * t
+        if k < n // 2:
+            num = t * ((n - k) ** 3 * (2 * k + 1))
+            t = _exact_div(num, (k + 1) ** 3 * (2 * (n - k) - 1))
+    return total
 
 
 def _franel_step(vals):
@@ -109,9 +135,7 @@ def _franel_step(vals):
     for k in range(n + 1):
         total += b ** 3
         if k < n:
-            v = b * (n - k)
-            assert v % (k + 1) == 0
-            b = v // (k + 1)
+            b = _exact_div(b * (n - k), k + 1)
     return total
 
 
@@ -129,9 +153,7 @@ def catalan(i: int) -> int:
     """The i-th Catalan number C(2i,i)/(i+1); the division is exact."""
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
-    c = central_binomial[i]
-    assert c % (i + 1) == 0
-    return c // (i + 1)
+    return _exact_div(central_binomial[i], i + 1)
 
 
 def domb_via_cz(n: int) -> int:
@@ -245,12 +267,13 @@ def rogers_partial(K: int) -> float:
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    s = Fraction(0)
-    prev = Fraction(0)
+    # Horner over the common denominator: S_K = N_K / (-32)^K, and
+    # S_(K-1) = -32 N_(K-1) / (-32)^K
+    num = prev = 0
     for k in range(K + 1):
-        prev = s
-        s = s + Fraction((3 * k + 1) * domb(k), (-32) ** k)
-    return _to_real((prev + s) / 2)
+        prev = num
+        num = -32 * num + (3 * k + 1) * domb(k)
+    return _to_real(Fraction(num - 32 * prev, 2 * (-32) ** K))
 
 
 def ccl_partial(K: int) -> float:
@@ -258,7 +281,8 @@ def ccl_partial(K: int) -> float:
     its limit 8/(sqrt(3) pi).  Needs K >= 0."""
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
-    s = Fraction(0)
+    # Horner over the common denominator: S_K = N_K / 64^K
+    num = 0
     for k in range(K + 1):
-        s = s + Fraction((5 * k + 1) * domb(k), 64 ** k)
-    return _to_real(s)
+        num = 64 * num + (5 * k + 1) * domb(k)
+    return _to_real(Fraction(num, 64 ** K))

@@ -44,6 +44,7 @@ from dombcheck.sequences import (
     ROGERS_LIMIT,
     ccl_partial,
     domb,
+    domb_by_definition,
     domb_via_cz,
     domb_via_ctyz,
     domb_via_sunzh,
@@ -58,16 +59,17 @@ def _verdict(num, ok, detail=""):
     assert ok, f"criterion {num:02d} failed {tail}"
 
 
-def test_criterion_01_four_way_domb_agreement():
+def test_criterion_01_five_way_domb_agreement():
     t0 = time.monotonic()
     bad = [
         n
         for n in range(201)
-        if not domb(n) == domb_via_cz(n) == domb_via_sunzh(n) == domb_via_ctyz(n)
+        if not domb(n) == domb_by_definition(n) == domb_via_cz(n)
+        == domb_via_sunzh(n) == domb_via_ctyz(n)
     ]
     elapsed = time.monotonic() - t0
     _verdict(1, not bad and elapsed < 30.0,
-             f"n <= 200, four routes, {elapsed:.2f}s (budget 30s), mismatches={bad}")
+             f"n <= 200, five routes, {elapsed:.2f}s (budget 30s), mismatches={bad}")
 
 
 def test_criterion_02_thm1_sweep_to_499():

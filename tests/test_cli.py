@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -41,6 +42,22 @@ def test_compute_unknown_sequence(capsys):
 def test_compute_rejects_negative_n_max(capsys):
     code, _, err = run(capsys, "compute", "domb", "--n-max", "-1")
     assert code == 2 and "--n-max" in err
+
+
+def test_compute_prints_values_past_the_int_str_digit_limit(capsys):
+    # Domb(3576) is the first value past Python's default 4300-digit limit;
+    # start from that default, since an earlier main() may have lifted it
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "compute", "domb", "--n-max", "3600")
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+    assert code == 0 and err == ""
+    index, value = out.splitlines()[-1].split()
+    assert index == "3600" and len(value) > 4300
 
 
 # ---------------------------------------------------------------- series

@@ -1,16 +1,26 @@
 """Sequence generators pinned to known prefixes and to their defining sums.
 
-The Domb generator in the package builds rows by incremental multiplicative
-updates, so the oracle here deliberately goes the other way and evaluates
-the defining binomial sums with math.comb from scratch.
+The package fills its Domb table by the three-term recurrence and keeps the
+defining sum as a separate route, `domb_by_definition`, which builds one row
+by incremental multiplicative updates.  The tests require the two to agree,
+and check the definition route in turn against an oracle that goes the
+other way and evaluates the defining binomial sum with math.comb from
+scratch.  The series partial sums are checked exactly against a running
+Fraction sum.
 """
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dombcheck
+from dombcheck import sequences
 from dombcheck.arith import NotPrime
 from dombcheck.sequences import (
     CCL_LIMIT,
@@ -21,6 +31,7 @@ from dombcheck.sequences import (
     ccl_partial,
     central_binomial,
     domb,
+    domb_by_definition,
     domb_via_cz,
     domb_via_ctyz,
     domb_via_sunzh,
@@ -36,7 +47,7 @@ CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429)
 EULER_PREFIX = (1, 0, -1, 0, 5, 0, -61, 0, 1385, 0, -50521, 0, 2702765)
 
 
-def domb_by_definition(n):
+def domb_from_comb(n):
     return sum(
         math.comb(n, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
         for k in range(n + 1)
@@ -129,7 +140,24 @@ def test_domb_rejects_negative_index():
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=120))
 def test_domb_matches_defining_sum(n):
-    assert domb(n) == domb_by_definition(n)
+    assert domb(n) == domb_from_comb(n)
+    assert domb_by_definition(n) == domb_from_comb(n)
+
+
+def test_domb_recurrence_matches_definition_route_to_600():
+    assert [domb(n) for n in range(601)] == [domb_by_definition(n) for n in range(601)]
+
+
+def test_domb_step_rejects_a_corrupted_prefix_under_optimized_mode():
+    # python -O strips assert statements; the exactness guard must be a raise
+    code = "from dombcheck.sequences import _domb_step; _domb_step([1, 4, 29])"
+    src = os.path.dirname(os.path.dirname(dombcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError: inexact division" in proc.stderr
 
 
 def test_franel_prefix():
@@ -156,15 +184,18 @@ def test_catalan_prefix_and_integrality():
 
 # ---------------------------------------------------------------- transformations
 
-def test_four_routes_agree_on_a_small_range():
+def test_five_routes_agree_on_a_small_range():
     for n in range(41):
         d = domb(n)
+        assert domb_by_definition(n) == d
         assert domb_via_cz(n) == d
         assert domb_via_sunzh(n) == d
         assert domb_via_ctyz(n) == d
 
 
-@pytest.mark.parametrize("route", [domb_via_cz, domb_via_sunzh, domb_via_ctyz])
+@pytest.mark.parametrize(
+    "route", [domb_by_definition, domb_via_cz, domb_via_sunzh, domb_via_ctyz]
+)
 def test_transformations_reject_negative_index(route):
     with pytest.raises(ValueError):
         route(-2)
@@ -230,6 +261,20 @@ def test_ccl_partial_is_increasing_toward_the_limit():
     assert vals == sorted(vals)
     assert all(v < CCL_LIMIT for v in vals)
     assert abs(vals[-1] - CCL_LIMIT) < 1e-9
+
+
+def test_series_match_a_running_fraction_sum(monkeypatch):
+    # with the final float conversion switched off, the common-denominator
+    # sums must be the exact rationals of the plain term-by-term sum
+    monkeypatch.setattr(sequences, "_to_real", lambda q: q)
+    rogers = ccl = prev = Fraction(0)
+    for K in range(61):
+        prev = rogers
+        rogers += Fraction((3 * K + 1) * domb(K), (-32) ** K)
+        ccl += Fraction((5 * K + 1) * domb(K), 64 ** K)
+        if K >= 2:
+            assert rogers_partial(K) == (prev + rogers) / 2
+        assert ccl_partial(K) == ccl
 
 
 def test_series_reject_out_of_range_k():
