@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .congruences import (
@@ -74,8 +75,6 @@ SERIES_MAX_K = 10000
 
 def _fmt(x) -> str:
     """Decimal-string form of an int, Fraction or residue value."""
-    from fractions import Fraction
-
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)

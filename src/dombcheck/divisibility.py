@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .identities import check_e_full
+from .identities import franel_expansion
 from .sequences import domb
 
 
@@ -69,7 +69,7 @@ class Thm3Record:
     n: int
     base: int
     value: Fraction          # exact, denominator 1 iff integral
-    franel_route: Fraction   # the same quantity via the Franel expansion
+    franel_route: int        # the same quantity via the Franel expansion
     holds: bool
 
 
@@ -81,7 +81,7 @@ def check_thm3(n: int, base: int) -> Thm3Record:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     value = Fraction(_raw_sum(n, base), n)
-    other = check_e_full("e1" if base == 8 else "e2", n).rhs
+    other = franel_expansion(n, base)
     holds = value.denominator == 1 and value > 0 and value == other
     return Thm3Record(n, base, value, other, holds)
 

@@ -5,6 +5,16 @@ equality of two Fractions computed by disjoint code paths; the only shared
 ingredients are the binomial, sequence and harmonic primitives.  A False
 here is a falsification event, not a soft failure.
 
+The inner-sum left sides (c2, d2, e_inner_plus, e_inner_alt) are running
+prefixes along n for a fixed i.  Each (tag, i) column keeps a cursor
+(n, sum) and a check adds only the summands between the cursor and the n
+it is asked for, so a sweep in ascending n costs O(1) big-int operations
+per record instead of an O(n) sum.  For c2 the prefix is the left side
+times (-2)^(n-1), an integer, and both sides are compared as integers over
+that denominator; c3 and d3 likewise compare integer numerators over a
+common power of two.  A prefix is built from the summands alone, never
+from a closed form, so the two sides stay independent routes.
+
 Check catalog (ids as used throughout the tool):
 
   cz, sunzh, ctyz   Domb(n) by its defining sum against its three
@@ -85,6 +95,13 @@ def _report(tag, params, lhs, rhs) -> IdentityReport:
     return IdentityReport(tag, tuple(params), lhs, rhs, lhs == rhs)
 
 
+def _report_over(tag, params, lhs: int, rhs: int, den: int) -> IdentityReport:
+    """Both sides given as integer numerators over one common denominator."""
+    return IdentityReport(
+        tag, tuple(params), Fraction(lhs, den), Fraction(rhs, den), lhs == rhs
+    )
+
+
 def check_transformation(tag: str, n: int) -> IdentityReport:
     """Domb(n) by definition against one of its transformed summations."""
     routes = {"cz": domb_via_cz, "sunzh": domb_via_sunzh, "ctyz": domb_via_ctyz}
@@ -95,23 +112,60 @@ def check_transformation(tag: str, n: int) -> IdentityReport:
     return _report(tag, (n,), domb_by_definition(n), routes[tag](n))
 
 
+# Running left sides of the inner-sum identities: (tag, i) -> (n, acc), where
+# acc is the integer numerator of the left side at n.  Entries are replaced
+# whole, never mutated, so a reader sees a consistent pair without a lock.
+_cursors: dict[tuple[str, int], tuple[int, int]] = {}
+
+
+def _prefix(tag, i, n, start, ratio, term) -> int:
+    """acc(n) for column i, where acc(start) = 0 and
+    acc(k+1) = ratio * acc(k) + term(k, i).
+
+    The column's cursor moves forward from where the last call left it, or
+    restarts at `start` when asked for a smaller n, so visiting a column in
+    ascending n costs O(1) terms per call.
+    """
+    k, acc = _cursors.get((tag, i), (start, 0))
+    if k > n:
+        k, acc = start, 0
+    while k < n:
+        acc = ratio * acc + term(k, i)
+        k += 1
+    _cursors[(tag, i)] = (n, acc)
+    return acc
+
+
+def _c2_term(k, i):
+    return (3 * k + 1) * binomial(k + 2 * i, 3 * i)
+
+
+def _d2_term(k, i):
+    return (-2) ** k * (3 * k + 2) * binomial(k + i, 3 * i)
+
+
+def _e_plus_term(k, i):
+    return (2 * k + 1) * binomial(k, i) * binomial(k + i, i)
+
+
+def _e_alt_term(k, i):
+    return (-1) ** k * _e_plus_term(k, i)
+
+
 def check_c2(n: int, i: int) -> IdentityReport:
     if not 0 <= i <= n - 1:
         raise BadIndex(f"need 0 <= i <= n-1, got n={n} i={i}")
-    lhs = sum(
-        Fraction(3 * k + 1, (-2) ** k) * binomial(k + 2 * i, 3 * i)
-        for k in range(i, n)
-    )
-    rhs = (n - i) * binomial(n + 2 * i, 3 * i) * Fraction(1, (-2) ** (n - 1))
-    return _report("c2", (n, i), lhs, rhs)
+    # both sides times (-2)^(n-1): the left side is then the integer
+    # sum_{k=i}^{n-1} (3k+1) (-2)^(n-1-k) C(k+2i,3i)
+    lhs = _prefix("c2", i, n, i, -2, _c2_term)
+    rhs = (n - i) * binomial(n + 2 * i, 3 * i)
+    return _report_over("c2", (n, i), lhs, rhs, (-2) ** (n - 1))
 
 
 def check_d2(n: int, i: int) -> IdentityReport:
     if not (0 <= i and 2 * i <= n - 1):
         raise BadIndex(f"need 0 <= 2i <= n-1, got n={n} i={i}")
-    lhs = sum(
-        (-2) ** k * (3 * k + 2) * binomial(k + i, 3 * i) for k in range(2 * i, n)
-    )
+    lhs = _prefix("d2", i, n, 2 * i, 1, _d2_term)
     rhs = (-1) ** (n - 1) * (n - 2 * i) * binomial(n + i, 3 * i) * 2 ** n
     return _report("d2", (n, i), lhs, rhs)
 
@@ -122,26 +176,36 @@ def check_rearrangement(tag: str, n: int) -> IdentityReport:
         raise ValueError(f"unknown rearrangement {tag!r}")
     if n < 1 or n % 2 == 0:
         raise EvenN(f"rearrangement {tag} needs odd n >= 1, got {n}")
+    # both sides times (-32)^(n-1) (c3) or (-2)^(n-1) (d3), both positive
+    # powers of two since n is odd; each side is then a Horner sum in integers
     if tag == "c3":
-        lhs = sum(Fraction((3 * k + 1) * domb(k), (-32) ** k) for k in range(n))
-        rhs = sum(
-            Fraction(2 * (n - i), 2 ** n)
-            * Fraction(1, (-16) ** i)
-            * central_binomial[i] ** 2
-            * binomial(3 * i, i)
-            * binomial(n + 2 * i, 3 * i)
-            for i in range(n)
-        )
+        lhs = 0
+        for k in range(n):
+            lhs = -32 * lhs + (3 * k + 1) * domb(k)
+        rhs = 0  # sum_i (n-i) C(2i,i)^2 C(3i,i) C(n+2i,3i) (-16)^(n-1-i)
+        for i in range(n):
+            rhs = -16 * rhs + (
+                (n - i)
+                * central_binomial[i] ** 2
+                * binomial(3 * i, i)
+                * binomial(n + 2 * i, 3 * i)
+            )
+        den = (-32) ** (n - 1)
     else:
-        lhs = sum(Fraction((3 * k + 2) * domb(k), (-2) ** k) for k in range(n))
-        rhs = sum(
-            Fraction(2 ** n * (n - 2 * i), 16 ** i)
-            * central_binomial[i] ** 2
-            * binomial(3 * i, i)
-            * binomial(n + i, 3 * i)
-            for i in range((n - 1) // 2 + 1)
-        )
-    return _report(tag, (n,), lhs, rhs)
+        lhs = 0
+        for k in range(n):
+            lhs = -2 * lhs + (3 * k + 2) * domb(k)
+        rhs = 0  # 2 sum_i (n-2i) C(2i,i)^2 C(3i,i) C(n+i,3i) 16^((n-1)/2-i)
+        for i in range((n - 1) // 2 + 1):
+            rhs = 16 * rhs + (
+                (n - 2 * i)
+                * central_binomial[i] ** 2
+                * binomial(3 * i, i)
+                * binomial(n + i, 3 * i)
+            )
+        rhs *= 2
+        den = (-2) ** (n - 1)
+    return _report_over(tag, (n,), lhs, rhs, den)
 
 
 def check_b1(n: int) -> IdentityReport:
@@ -191,15 +255,10 @@ def check_e_inner(tag: str, n: int, i: int) -> IdentityReport:
     if not 0 <= i <= n - 1:
         raise BadIndex(f"need 0 <= i <= n-1, got n={n} i={i}")
     if tag == "e_inner_plus":
-        lhs = sum(
-            (2 * k + 1) * binomial(k, i) * binomial(k + i, i) for k in range(i, n)
-        )
+        lhs = _prefix(tag, i, n, i, 1, _e_plus_term)
         rhs = n * (n - i) * catalan(i) * binomial(n + i, 2 * i)
     else:
-        lhs = sum(
-            (-1) ** k * (2 * k + 1) * binomial(k, i) * binomial(k + i, i)
-            for k in range(i, n)
-        )
+        lhs = _prefix(tag, i, n, i, 1, _e_alt_term)
         rhs = (-1) ** (n - 1) * n * binomial(n - 1, i) * binomial(n + i, i)
     return _report(tag, (n, i), lhs, rhs)
 
@@ -219,8 +278,18 @@ def check_e_full(tag: str, n: int) -> IdentityReport:
     lhs = Fraction(
         sum((2 * k + 1) * domb(k) * base ** (n - 1 - k) for k in range(n)), n
     )
-    if tag == "e1":
-        rhs = sum(
+    return _report(tag, (n,), lhs, franel_expansion(n, base))
+
+
+def franel_expansion(n: int, base: int) -> int:
+    """The right side of e1 (base +8) or e2 (base -8): the normalized Domb
+    partial sum expanded over Franel numbers.
+
+      e1:  sum_i (-1)^i 8^(n-1-i) (n-i)/(i+1) C(2i,i) C(n+i,2i) f_i
+      e2:  sum_i (-1)^i 8^(n-1-i) C(n-1,i) C(n+i,i) f_i
+    """
+    if base == 8:
+        return sum(
             (-1) ** i
             * 8 ** (n - 1 - i)
             * (n - i)
@@ -229,13 +298,11 @@ def check_e_full(tag: str, n: int) -> IdentityReport:
             * franel(i)
             for i in range(n)
         )
-    else:
-        rhs = sum(
-            (-1) ** i
-            * 8 ** (n - 1 - i)
-            * binomial(n - 1, i)
-            * binomial(n + i, i)
-            * franel(i)
-            for i in range(n)
-        )
-    return _report(tag, (n,), lhs, rhs)
+    return sum(
+        (-1) ** i
+        * 8 ** (n - 1 - i)
+        * binomial(n - 1, i)
+        * binomial(n + i, i)
+        * franel(i)
+        for i in range(n)
+    )

@@ -1,11 +1,14 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import json
+import multiprocessing
 import sys
 
 import pytest
 
+from dombcheck import cli
 from dombcheck.cli import _default_jobs, build_parser, main
+from dombcheck.identities import IDENTITY_TAGS
 
 
 def run(capsys, *argv):
@@ -217,6 +220,16 @@ def test_reports_do_not_depend_on_jobs(capsys):
     _, serial, _ = run(capsys, *SMALL_RUN, "--jobs", "1")
     _, parallel, _ = run(capsys, *SMALL_RUN, "--jobs", "2")
     assert serial == parallel
+
+
+def test_spawned_workers_give_the_serial_records(monkeypatch):
+    # spawned workers import the package afresh, so every inner-sum prefix
+    # starts empty in them; criterion 10 runs the pool under fork only
+    tasks = list(cli._identity_tasks(IDENTITY_TAGS, 30))
+    serial = cli._run_all(tasks, 1)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    assert cli._run_all(tasks, 2) == serial
 
 
 def test_records_come_out_sorted(capsys):

@@ -1,10 +1,12 @@
 """Exact identity checks: both sides as Fractions, equality or falsification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dombcheck import identities
 from dombcheck.identities import (
     BadIndex,
     EvenN,
@@ -20,6 +22,7 @@ from dombcheck.identities import (
     check_rearrangement,
     check_transformation,
 )
+from dombcheck.sequences import binomial, catalan, central_binomial, franel
 
 nn = st.integers
 
@@ -92,6 +95,91 @@ def test_e_inner_validation():
         check_e_inner("nope", 3, 1)
     with pytest.raises(BadIndex):
         check_e_inner("e_inner_plus", 3, 3)
+
+
+# the inner-sum left sides summed afresh for each cell, O(n) terms each: the
+# oracle for the running prefixes
+DIRECT_LHS = {
+    "c2": lambda n, i: sum(
+        Fraction(3 * k + 1, (-2) ** k) * binomial(k + 2 * i, 3 * i)
+        for k in range(i, n)
+    ),
+    "d2": lambda n, i: sum(
+        (-2) ** k * (3 * k + 2) * binomial(k + i, 3 * i) for k in range(2 * i, n)
+    ),
+    "e_inner_plus": lambda n, i: sum(
+        (2 * k + 1) * binomial(k, i) * binomial(k + i, i) for k in range(i, n)
+    ),
+    "e_inner_alt": lambda n, i: sum(
+        (-1) ** k * (2 * k + 1) * binomial(k, i) * binomial(k + i, i)
+        for k in range(i, n)
+    ),
+}
+
+INNER_CHECKS = {
+    "c2": check_c2,
+    "d2": check_d2,
+    "e_inner_plus": lambda n, i: check_e_inner("e_inner_plus", n, i),
+    "e_inner_alt": lambda n, i: check_e_inner("e_inner_alt", n, i),
+}
+
+
+def _inner_cells(tag, n_max):
+    for n in range(1, n_max + 1):
+        for i in range((n - 1) // 2 + 1 if tag == "d2" else n):
+            yield n, i
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("tag", sorted(INNER_CHECKS))
+def test_inner_prefixes_equal_the_direct_sums(tag, order):
+    cells = list(_inner_cells(tag, 40))
+    if order == "descending":
+        cells.reverse()
+    elif order == "shuffled":
+        random.Random(3).shuffle(cells)
+    for n, i in cells:
+        rep = INNER_CHECKS[tag](n, i)
+        assert rep.lhs == DIRECT_LHS[tag](n, i), (n, i)
+        assert rep.holds
+
+
+@pytest.mark.parametrize("tag", sorted(INNER_CHECKS))
+def test_a_corrupted_prefix_is_caught(tag, monkeypatch):
+    check = INNER_CHECKS[tag]
+    assert check(9, 3).holds
+    n, acc = identities._cursors[(tag, 3)]
+    monkeypatch.setitem(identities._cursors, (tag, 3), (n, acc + 1))
+    assert not check(10, 3).holds
+
+
+# each mutant perturbs an ingredient that only the right side uses
+_bad_central = [central_binomial[i] + (i == 1) for i in range(21)]
+
+
+def _bad_franel(i):
+    return franel(i) + (i == 4)
+
+
+RHS_MUTANTS = [
+    ("e_inner_plus", "catalan", lambda i: catalan(i) + (i == 2)),
+    ("c3", "central_binomial", _bad_central),
+    ("d3", "central_binomial", _bad_central),
+    ("e1", "franel", _bad_franel),
+    ("e2", "franel", _bad_franel),
+]
+
+
+@pytest.mark.parametrize("tag, name, mutant", RHS_MUTANTS, ids=[m[0] for m in RHS_MUTANTS])
+def test_a_mutated_right_side_is_caught(tag, name, mutant, monkeypatch):
+    monkeypatch.setattr(identities, name, mutant)
+    if tag == "e_inner_plus":
+        reports = [check_e_inner(tag, n, i) for n, i in _inner_cells(tag, 20)]
+    elif tag in ("c3", "d3"):
+        reports = [check_rearrangement(tag, n) for n in range(1, 21, 2)]
+    else:
+        reports = [check_e_full(tag, n) for n in range(1, 21)]
+    assert not all(rep.holds for rep in reports)
 
 
 # ---------------------------------------------------------------- rearrangements
