@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 from .arith import (
     BadRange,
     DenominatorDivisibleByP,
-    NotInvertible,
     NotPrime,
     PDividesBase,
     PrimePowerModulus,
     Residue,
     fermat_quotient,
     is_prime,
-    mod_inverse,
     primes_in_range,
     residue_of_rational,
 )
@@ -35,17 +33,13 @@ from .sequences import (
     rogers_partial,
 )
 from .harmonic import (
-    HarmonicSpec,
-    IndexReachesP,
     alt_harmonic,
     alt_harmonic_weighted,
     harmonic,
-    harmonic_residue,
 )
 from .identities import (
     BadIndex,
     EvenN,
-    IDENTITY_TAGS,
     IdentityReport,
     check_b1,
     check_b2,
@@ -58,8 +52,6 @@ from .identities import (
     check_transformation,
 )
 from .congruences import (
-    CONGRUENCE_TAGS,
-    CongruenceId,
     CongruenceResult,
     LEMMA_TAGS,
     PER_INDEX_TAGS,
@@ -67,7 +59,6 @@ from .congruences import (
     PTooSmall,
     TAG_POWER,
     exact_lhs,
-    sweep,
     verify_c12_tail_input,
     verify_lemma,
     verify_proof_step,
@@ -83,3 +74,4 @@ from .divisibility import (
     check_thm3,
     thm3_value,
 )
+from .checks import CHECKS, Check, sweep

@@ -2,8 +2,8 @@
 
 Plain Python ints carry all exact integer work and fractions.Fraction all
 exact rational work; both are arbitrary precision.  What this module adds
-is the ring layer on top: canonical residues mod p^k, modular inverses,
-reduction of p-integral rationals, Fermat quotients and prime generation.
+is the ring layer on top: canonical residues mod p^k, reduction of
+p-integral rationals, Fermat quotients and prime generation.
 Everything here is pure and deterministic.
 """
 
@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-
-class NotInvertible(ValueError):
-    """No inverse exists mod p^k (the element is divisible by p)."""
 
 
 class DenominatorDivisibleByP(ValueError):
@@ -71,12 +67,6 @@ class PrimePowerModulus:
             raise ValueError(f"exponent must be >= 1, got {self.k}")
         object.__setattr__(self, "m", self.p ** self.k)
 
-    def reduce(self, k: int) -> "PrimePowerModulus":
-        """The coarser ring Z/p^k for k at most the current exponent."""
-        if not 1 <= k <= self.k:
-            raise ValueError(f"cannot reduce Z/p^{self.k} to exponent {k}")
-        return PrimePowerModulus(self.p, k)
-
 
 @dataclass(frozen=True)
 class Residue:
@@ -88,53 +78,8 @@ class Residue:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.modulus.m)
 
-    def _join(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.p}^{self.modulus.k} "
-                f"vs {other.modulus.p}^{other.modulus.k}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._join(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._join(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._join(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, e: int) -> "Residue":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Residue(pow(self.value, e, self.modulus.m), self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self.value, self.modulus)
-
-    def scale(self, c: int) -> "Residue":
-        """Multiply by a plain integer constant."""
-        return Residue(self.value * c, self.modulus)
-
-    def reduced_to(self, k: int) -> "Residue":
-        """The image of this residue in the coarser ring Z/p^k."""
-        return Residue(self.value, self.modulus.reduce(k))
-
     def __int__(self) -> int:
         return self.value
-
-
-def mod_inverse(a: int, modulus: PrimePowerModulus) -> Residue:
-    """The inverse of a in Z/p^k; raises NotInvertible when p | a."""
-    if a % modulus.p == 0:
-        raise NotInvertible(f"{a} is divisible by {modulus.p}, no inverse mod {modulus.m}")
-    return Residue(pow(a, -1, modulus.m), modulus)
 
 
 def residue_of_rational(q, modulus: PrimePowerModulus) -> Residue:

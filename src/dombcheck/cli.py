@@ -35,28 +35,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .congruences import (
-    CONGRUENCE_TAGS,
-    TAG_POWER,
-    _verify_any,
-)
-from .divisibility import (
-    check_alternating_positivity,
-    check_ratio_monotone,
-    check_thm3,
-)
-from .identities import (
-    IDENTITY_TAGS,
-    check_b1,
-    check_b2,
-    check_b10gen,
-    check_c2,
-    check_d2,
-    check_e_full,
-    check_e_inner,
-    check_rearrangement,
-    check_transformation,
-)
+from .arith import primes_in_range
+from .checks import CHECKS, SUITES
 from .sequences import (
     CCL_LIMIT,
     ROGERS_LIMIT,
@@ -67,9 +47,7 @@ from .sequences import (
     franel,
     rogers_partial,
 )
-from .arith import primes_in_range
 
-DIVISIBILITY_TAGS = ("thm3_plus", "thm3_minus", "ratio_monotone", "alt_positivity")
 SERIES_MAX_K = 10000
 
 
@@ -96,112 +74,22 @@ def _record(suite, cid, params: dict, lhs, rhs, modulus, holds) -> dict:
 
 # ---------------------------------------------------------------- tasks
 
-def _identity_tasks(ids, n_max):
-    for tag in ids:
-        if tag in ("cz", "sunzh", "ctyz", "b1", "b2", "b10gen"):
-            for n in range(n_max + 1):
-                yield ("ident", tag, n, None)
-        elif tag in ("c3", "d3"):
-            for n in range(1, n_max + 1, 2):
-                yield ("ident", tag, n, None)
-        elif tag in ("e1", "e2"):
-            for n in range(1, n_max + 1):
-                yield ("ident", tag, n, None)
-        elif tag in ("c2", "e_inner_plus", "e_inner_alt"):
-            for n in range(1, n_max + 1):
-                for i in range(n):
-                    yield ("ident", tag, n, i)
-        elif tag == "d2":
-            for n in range(1, n_max + 1):
-                for i in range((n - 1) // 2 + 1):
-                    yield ("ident", tag, n, i)
-
-
-def _congruence_tasks(ids, p_lo, p_hi):
-    for p in primes_in_range(p_lo, p_hi):
-        for tag in ids:
-            yield ("cong", tag, p, None)
-
-
-def _divisibility_tasks(ids, n_max):
-    for tag in ids:
-        if tag in ("thm3_plus", "thm3_minus", "alt_positivity"):
-            for n in range(1, n_max + 1):
-                yield ("div", tag, n, None)
-        else:  # ratio_monotone, one task for the whole range
-            yield ("div", tag, n_max, None)
+def _tasks(tags, n_max, primes) -> list[tuple]:
+    """Flat (tag, *args) tasks, tag by tag in catalog order."""
+    return [(tag, *args) for tag in tags for args in CHECKS[tag].grid(n_max, primes)]
 
 
 def _run_task(task) -> list[dict]:
-    kind, tag, a, b = task
-    if kind == "ident":
-        if tag in ("cz", "sunzh", "ctyz"):
-            rep = check_transformation(tag, a)
-        elif tag == "c2":
-            rep = check_c2(a, b)
-        elif tag == "d2":
-            rep = check_d2(a, b)
-        elif tag in ("c3", "d3"):
-            rep = check_rearrangement(tag, a)
-        elif tag == "b1":
-            rep = check_b1(a)
-        elif tag == "b2":
-            rep = check_b2(a)
-        elif tag == "b10gen":
-            rep = check_b10gen(a)
-        elif tag in ("e_inner_plus", "e_inner_alt"):
-            rep = check_e_inner(tag, a, b)
-        else:
-            rep = check_e_full(tag, a)
-        if tag == "b10gen":
-            params = {"m": a}
-        elif b is None:
-            params = {"n": a}
-        else:
-            params = {"n": a, "i": b}
-        return [_record("identities", tag, params, rep.lhs, rep.rhs, "", rep.holds)]
-
-    if kind == "cong":
-        out = []
-        for res in _verify_any(tag, a):
-            params = {"p": res.p}
-            if res.index is not None:
-                params["i"] = res.index
-            out.append(
-                _record(
-                    "congruences", tag, params,
-                    res.lhs.value, res.rhs.value, str(res.modulus.m), res.holds,
-                )
-            )
-        return out
-
-    # divisibility
-    if tag in ("thm3_plus", "thm3_minus"):
-        rec = check_thm3(a, 8 if tag == "thm3_plus" else -8)
-        return [
-            _record(
-                "divisibility", tag, {"n": a},
-                rec.value, rec.franel_route, "", rec.holds,
-            )
-        ]
-    if tag == "alt_positivity":
-        ok, value = check_alternating_positivity(a)
-        return [_record("divisibility", tag, {"n": a}, value, "0", "", ok)]
-    ok, where = check_ratio_monotone(a)
-    first_bad = -1 if where is None else where
-    return [_record("divisibility", tag, {"n": a}, first_bad, "-1", "", ok)]
+    check = CHECKS[task[0]]
+    return [
+        _record(check.suite, check.tag, params, lhs, rhs, modulus, holds)
+        for params, lhs, rhs, modulus, holds in check.evaluate(*task[1:])
+    ]
 
 
 def _prewarm(tasks) -> None:
-    """Fill shared tables in the parent so forked workers inherit them."""
-    max_domb = 0
-    for kind, tag, a, _b in tasks:
-        if kind == "cong":
-            max_domb = max(max_domb, a - 1)
-        elif kind in ("ident", "div"):
-            max_domb = max(max_domb, a)
-    if max_domb:
-        domb(max_domb)
+    """Fill the Domb table in the parent so forked workers inherit it."""
+    domb(max(task[1] for task in tasks))
 
 
 def _run_all(tasks, jobs) -> list[dict]:
@@ -312,28 +200,32 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _resolve_ids(suite, requested):
-    catalog = {
-        "identities": list(IDENTITY_TAGS),
-        "congruences": list(CONGRUENCE_TAGS),
-        "divisibility": list(DIVISIBILITY_TAGS),
-    }
-    suites = [suite] if suite != "all" else ["identities", "congruences", "divisibility"]
-    chosen = {s: catalog[s] for s in suites}
-    if requested:
-        wanted = [t.strip() for t in requested.split(",") if t.strip()]
-        known = {t for s in suites for t in catalog[s]}
-        bad = [t for t in wanted if t not in known]
-        if bad:
-            raise ValueError(f"unknown check ids for suite {suite}: {', '.join(bad)}")
-        chosen = {s: [t for t in catalog[s] if t in wanted] for s in suites}
-    return chosen
+def _resolve_ids(suite, requested) -> list[str]:
+    """The selected tags in catalog order; ValueError names any unknown one."""
+    known = [tag for tag, check in CHECKS.items() if suite in ("all", check.suite)]
+    if not requested:
+        return known
+    wanted = [t.strip() for t in requested.split(",") if t.strip()]
+    bad = [t for t in wanted if t not in known]
+    if bad:
+        raise ValueError(f"unknown check ids for suite {suite}: {', '.join(bad)}")
+    return [tag for tag in known if tag in wanted]
+
+
+def _rerun(rec) -> str:
+    """The command that re-runs the check behind one record: its suite and
+    tag, with the range cut down to the record's first param."""
+    if rec["id"] not in CHECKS:
+        return ""
+    name, value = next(iter(rec["params"].items()))
+    bounds = f"--prime-lo {value} --prime-hi {value}" if name == "p" else f"--n-max {value}"
+    return f" rerun: dombcheck verify {rec['suite']} --ids {rec['id']} {bounds}"
 
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     try:
-        chosen = _resolve_ids(args.suite, args.ids)
+        ids = _resolve_ids(args.suite, args.ids)
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -341,11 +233,7 @@ def cmd_verify(args) -> int:
         print("need --n-max >= 0 and 5 <= --prime-lo <= --prime-hi", file=sys.stderr)
         return 2
 
-    tasks = []
-    tasks.extend(_identity_tasks(chosen.get("identities", ()), args.n_max))
-    tasks.extend(_congruence_tasks(chosen.get("congruences", ()), args.prime_lo, args.prime_hi))
-    tasks.extend(_divisibility_tasks(chosen.get("divisibility", ()), args.n_max))
-
+    tasks = _tasks(ids, args.n_max, primes_in_range(args.prime_lo, args.prime_hi))
     records = _run_all(tasks, args.jobs)
     if args.inject_failure:
         records.append(
@@ -355,13 +243,12 @@ def cmd_verify(args) -> int:
 
     failed = [r for r in records if not r["holds"]]
     for r in failed:
-        print(f"FALSIFIED {r['id']} {r['params']} lhs={r['lhs']} rhs={r['rhs']}",
+        print(f"FALSIFIED {r['id']} {r['params']} lhs={r['lhs']} rhs={r['rhs']}{_rerun(r)}",
               file=sys.stderr)
 
     params = {
         "suite": args.suite,
-        "ids": [t for s in ("identities", "congruences", "divisibility")
-                for t in chosen.get(s, ())],
+        "ids": ids,
         "n_max": args.n_max,
         "prime_lo": args.prime_lo,
         "prime_hi": args.prime_hi,
@@ -402,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_compute)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["identities", "congruences", "divisibility", "all"])
+    v.add_argument("suite", choices=[*SUITES, "all"])
     v.add_argument("--ids", default="")
     v.add_argument("--n-max", type=int, default=100)
     v.add_argument("--prime-lo", type=int, default=5)

@@ -47,15 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .arith import (
-    BadRange,
-    NotPrime,
-    PrimePowerModulus,
-    Residue,
-    fermat_quotient,
-    is_prime,
-    primes_in_range,
-)
+from .arith import NotPrime, PrimePowerModulus, Residue, fermat_quotient, is_prime
 from .harmonic import alt_harmonic, alt_harmonic_weighted, harmonic
 from .sequences import domb, euler_number_mod
 
@@ -65,9 +57,6 @@ TAG_POWER = {
     "c5": 2, "c8": 2, "c9": 1, "c10": 3, "c11": 4, "c12": 4,
     "d4": 4, "d5": 4,
 }
-CONGRUENCE_TAGS = tuple(TAG_POWER)
-LEMMA_TAGS = ("b3", "b4", "b5", "b6", "b8", "b9", "b11")
-PROOF_STEP_TAGS = ("c5", "c8", "c9", "c10", "c11", "c12", "d4", "d5")
 PER_INDEX_TAGS = ("c5", "d4")
 
 
@@ -76,23 +65,8 @@ class PTooSmall(ValueError):
 
 
 @dataclass(frozen=True)
-class CongruenceId:
-    """A check tag together with the modulus power it is stated at."""
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in TAG_POWER:
-            raise ValueError(f"unknown congruence tag {self.tag!r}")
-
-    @property
-    def required_power(self) -> int:
-        return TAG_POWER[self.tag]
-
-
-@dataclass(frozen=True)
 class CongruenceResult:
-    id: CongruenceId
+    id: str
     p: int
     index: int | None
     modulus: PrimePowerModulus
@@ -111,7 +85,7 @@ def _require_prime(p: int) -> None:
 def _result(tag: str, p: int, index, mod: PrimePowerModulus, lhs: int, rhs: int):
     lr = Residue(lhs, mod)
     rr = Residue(rhs, mod)
-    return CongruenceResult(CongruenceId(tag), p, index, mod, lr, rr, lr == rr)
+    return CongruenceResult(tag, p, index, mod, lr, rr, lr == rr)
 
 
 def _sign(p: int) -> int:
@@ -136,6 +110,12 @@ def _harm_mod(p: int, k: int):
         H[j] = (H[j - 1] + iv) % m
         H2[j] = (H2[j - 1] + iv * iv) % m
     return H, H2
+
+
+def _harm_weight(H, H2, i: int) -> int:
+    """(H_2i - H_i)^2 - H^(2)_2i - H^(2)_i from the prefix lists of _harm_mod."""
+    dh = H[2 * i] - H[i]
+    return dh * dh - H2[2 * i] - H2[i]
 
 
 def _domb_sum_mod(p: int, m: int, base: int, coeff_shift: int) -> int:
@@ -169,64 +149,68 @@ def verify_thm2(p: int) -> CongruenceResult:
     return _result("thm2", p, None, mod, lhs, rhs)
 
 
+def _inverse_sum(m: int, n: int, r: int = 1, sign: int = 1) -> int:
+    """sum_{j=1}^{n} sign^j / j^r inside Z/m."""
+    return sum(sign ** j * pow(j, -r, m) for j in range(1, n + 1)) % m
+
+
+def _b4_lhs(p: int, m: int) -> int:
+    """sum_{i<=(p-1)/2} (-1)^i H_i / i inside Z/m."""
+    lhs = h = 0
+    for i in range(1, (p - 1) // 2 + 1):
+        iv = pow(i, -1, m)
+        h = (h + iv) % m
+        lhs = (lhs + (-1) ** i * h * iv) % m
+    return lhs
+
+
+# tag -> (p, m, (-1)^((p-1)/2), E_{p-3}, q_p(2)) -> (lhs, rhs) in Z/m
+_LEMMAS = {
+    "b3": lambda p, m, sg, E, q: (_inverse_sum(m, (p - 1) // 2, 2, -1), 2 * sg * E),
+    "b4": lambda p, m, sg, E, q: (_b4_lhs(p, m), q * q * pow(2, -1, m) + sg * E),
+    "b5": lambda p, m, sg, E, q: (
+        _inverse_sum(m, (p - 1) // 2, 1, -1),
+        -q + p * q * q * pow(2, -1, m) - p * sg * E,
+    ),
+    "b6": lambda p, m, sg, E, q: (
+        sum(pow(p - 4 * i, -1, m) for i in range(1, p // 4 + 1)),
+        3 * q * pow(4, -1, m) - 3 * p * q * q * pow(8, -1, m),
+    ),
+    "b8": lambda p, m, sg, E, q: (_inverse_sum(m, p // 4, 2), 4 * sg * E),
+    "b9": lambda p, m, sg, E, q: (
+        _inverse_sum(m, p // 4),
+        -3 * q + 3 * p * q * q * pow(2, -1, m) - p * sg * E,
+    ),
+    "b11": lambda p, m, sg, E, q: (_inverse_sum(m, (p - 1) // 2), -2 * q + p * q * q),
+}
+LEMMA_TAGS = tuple(_LEMMAS)
+
+
 def verify_lemma(tag: str, p: int) -> CongruenceResult:
     """One of the harmonic-sum lemmas b3..b11 at the prime p."""
-    if tag not in LEMMA_TAGS:
+    if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}")
     _require_prime(p)
-    k = TAG_POWER[tag]
-    mod = PrimePowerModulus(p, k)
-    m = mod.m
-    half = (p - 1) // 2
-    quarter = p // 4
-    sg = _sign(p)
-    E = _euler_p3(p)
-    q = fermat_quotient(2, p, k).value
-    inv2 = pow(2, -1, m)
-
-    if tag == "b3":
-        lhs = 0
-        for i in range(1, half + 1):
-            iv = pow(i, -1, m)
-            lhs = (lhs + (-1) ** i * iv * iv) % m
-        rhs = (sg * 2 * E) % m
-    elif tag == "b4":
-        lhs = 0
-        h = 0
-        for i in range(1, half + 1):
-            iv = pow(i, -1, m)
-            h = (h + iv) % m
-            lhs = (lhs + (-1) ** i * h * iv) % m
-        rhs = (q * q * inv2 + sg * E) % m
-    elif tag == "b5":
-        lhs = 0
-        for i in range(1, half + 1):
-            lhs = (lhs + (-1) ** i * pow(i, -1, m)) % m
-        rhs = (-q + p * q * q * inv2 - p * sg * E) % m
-    elif tag == "b6":
-        lhs = 0
-        for i in range(1, quarter + 1):
-            lhs = (lhs + pow(p - 4 * i, -1, m)) % m
-        inv8 = pow(8, -1, m)
-        inv4 = pow(4, -1, m)
-        rhs = (3 * q * inv4 - 3 * p * q * q * inv8) % m
-    elif tag == "b8":
-        lhs = 0
-        for j in range(1, quarter + 1):
-            iv = pow(j, -1, m)
-            lhs = (lhs + iv * iv) % m
-        rhs = (sg * 4 * E) % m
-    elif tag == "b9":
-        lhs = 0
-        for j in range(1, quarter + 1):
-            lhs = (lhs + pow(j, -1, m)) % m
-        rhs = (-3 * q + 3 * p * q * q * inv2 - p * sg * E) % m
-    else:  # b11
-        lhs = 0
-        for j in range(1, half + 1):
-            lhs = (lhs + pow(j, -1, m)) % m
-        rhs = (-2 * q + p * q * q) % m
+    mod = PrimePowerModulus(p, TAG_POWER[tag])
+    q = fermat_quotient(2, p, mod.k).value
+    lhs, rhs = _LEMMAS[tag](p, mod.m, _sign(p), _euler_p3(p), q)
     return _result(tag, p, None, mod, lhs, rhs)
+
+
+def _central_sum(p: int, m: int, weight) -> int:
+    """sum_{i<=(p-1)/2} 16^-i C(2i,i)^2 weight(i) inside Z/m; C(2i,i) and
+    16^-i are updated in-ring from one i to the next."""
+    half = (p - 1) // 2
+    inv16 = pow(16, -1, m)
+    acc = 0
+    cb = 1  # C(2i,i) mod m
+    r = 1   # 16^-i mod m
+    for i in range(half + 1):
+        acc = (acc + cb * cb % m * r % m * weight(i)) % m
+        if i < half:
+            cb = cb * (4 * i + 2) % m * pow(i + 1, -1, m) % m
+            r = r * inv16 % m
+    return acc
 
 
 def _rearranged_summand_mod(p: int, m: int, i: int, c_pref: int, inv16neg: int) -> int:
@@ -244,116 +228,104 @@ def _rearranged_summand_mod(p: int, m: int, i: int, c_pref: int, inv16neg: int) 
     return t
 
 
-def verify_proof_step(tag: str, p: int):
-    """One of the c5..d5 intermediate steps; per-index tags (c5, d4) return
-    a list with one result per i in 0..(p-1)/2, the rest a single result."""
-    if tag not in PROOF_STEP_TAGS:
+def _rearranged_sum(p: int, m: int, lo: int, hi: int) -> int:
+    """The rearranged thm1 summands for lo <= i <= hi, summed inside Z/m."""
+    c_pref = pow(pow(2, p - 1, m), -1, m)  # 2^(1-p) mod m
+    inv16neg = pow(-16 % m, -1, m)
+    acc = 0
+    r = pow(inv16neg, lo, m)
+    for i in range(lo, hi + 1):
+        acc = (acc + _rearranged_summand_mod(p, m, i, c_pref, r)) % m
+        r = r * inv16neg % m
+    return acc
+
+
+def _c5(p, k, m, sg, E):
+    # factorials up to p-1 are all coprime to p, so they invert mod p^2
+    fact = [1] * p
+    for j in range(1, p):
+        fact[j] = fact[j - 1] * j % m
+    inv_fact = [1] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, m)
+    for j in range(p - 1, 0, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % m
+
+    def binom_mod(a, b):
+        return fact[a] * inv_fact[b] % m * inv_fact[a - b] % m
+
+    half = (p - 1) // 2
+    inv16 = pow(16, -1, m)
+    out = []
+    r = 1
+    for i in range(half + 1):
+        lhs = (-1) ** i * binom_mod(half, i) * binom_mod(half + i, i) % m
+        cb = binom_mod(2 * i, i)
+        out.append((i, lhs, r * cb % m * cb % m))
+        r = r * inv16 % m
+    return out
+
+
+def _c8(p, k, m, sg, E):
+    H, _ = _harm_mod(p, k)
+    q = fermat_quotient(2, p, k).value
+    lhs = _central_sum(p, m, lambda i: H[2 * i] - H[i])
+    return [(None, lhs, -sg * (-q + p * q * q * pow(2, -1, m)) + p * E)]
+
+
+def _c9(p, k, m, sg, E):
+    H, H2 = _harm_mod(p, k)
+    q = fermat_quotient(2, p, k).value
+    lhs = _central_sum(p, m, lambda i: _harm_weight(H, H2, i))
+    return [(None, lhs, sg * q * q + 6 * E)]
+
+
+def _d4(p, k, m, sg, E):
+    H, H2 = _harm_mod(p, k)
+    inv2 = pow(2, -1, m)
+    out = []
+    for i in range((p - 1) // 2 + 1):
+        lhs = (p - 2 * i) * (comb(3 * i, i) % m) % m * (comb(p + i, 3 * i) % m) % m
+        rhs = p - p * p * (H[2 * i] - H[i]) + p ** 3 * inv2 * _harm_weight(H, H2, i)
+        out.append((i, lhs, rhs))
+    return out
+
+
+def _d5(p, k, m, sg, E):
+    H, H2 = _harm_mod(p, k)
+    c = p * p * pow(2, -1, m)
+    acc = _central_sum(p, m, lambda i: 1 - p * (H[2 * i] - H[i]) + c * _harm_weight(H, H2, i))
+    return [(None, _domb_sum_mod(p, m, -2, 2), pow(2, p, m) * p * acc)]
+
+
+# tag -> (p, k, m = p^k, (-1)^((p-1)/2), E_{p-3}) -> [(i or None, lhs, rhs)]
+_PROOF_STEPS = {
+    "c5": _c5,
+    "c8": _c8,
+    "c9": _c9,
+    "c10": lambda p, k, m, sg, E: [(None, _central_sum(p, m, lambda i: 1), sg + p * p * E)],
+    "c11": lambda p, k, m, sg, E: [
+        (None, _rearranged_sum(p, m, 0, (p - 1) // 2), sg * p + 5 * p ** 3 * E)
+    ],
+    "c12": lambda p, k, m, sg, E: [
+        (None, _rearranged_sum(p, m, (p + 1) // 2, p - 1), -4 * p ** 3 * E)
+    ],
+    "d4": _d4,
+    "d5": _d5,
+}
+PROOF_STEP_TAGS = tuple(_PROOF_STEPS)
+
+
+def verify_proof_step(tag: str, p: int) -> list[CongruenceResult]:
+    """One of the c5..d5 intermediate steps at the prime p, as a list: one
+    result per i in 0..(p-1)/2 for the per-index tags c5 and d4, a single
+    result for the others."""
+    if tag not in _PROOF_STEPS:
         raise ValueError(f"unknown proof step tag {tag!r}")
     _require_prime(p)
     k = TAG_POWER[tag]
     mod = PrimePowerModulus(p, k)
-    m = mod.m
-    half = (p - 1) // 2
-    sg = _sign(p)
-    E = _euler_p3(p)
-
-    if tag == "c5":
-        # factorials up to p-1 are all coprime to p, so they invert mod p^2
-        fact = [1] * p
-        for j in range(1, p):
-            fact[j] = fact[j - 1] * j % m
-        inv_fact = [1] * p
-        inv_fact[p - 1] = pow(fact[p - 1], -1, m)
-        for j in range(p - 1, 0, -1):
-            inv_fact[j - 1] = inv_fact[j] * j % m
-
-        def binom_mod(a, b):
-            return fact[a] * inv_fact[b] % m * inv_fact[a - b] % m
-
-        inv16 = pow(16, -1, m)
-        out = []
-        r = 1
-        for i in range(half + 1):
-            lhs = (-1) ** i * binom_mod(half, i) * binom_mod(half + i, i) % m
-            cb = binom_mod(2 * i, i)
-            rhs = r * cb % m * cb % m
-            out.append(_result("c5", p, i, mod, lhs, rhs))
-            r = r * inv16 % m
-        return out
-
-    if tag in ("c8", "c9", "c10"):
-        H, H2 = _harm_mod(p, k)
-        inv16 = pow(16, -1, m)
-        acc = 0
-        cb = 1  # C(2i,i) mod m, updated in-ring
-        r = 1   # 16^-i mod m
-        for i in range(half + 1):
-            w = cb * cb % m * r % m
-            if tag == "c8":
-                acc = (acc + w * (H[2 * i] - H[i])) % m
-            elif tag == "c9":
-                dh = H[2 * i] - H[i]
-                acc = (acc + w * (dh * dh - H2[2 * i] - H2[i])) % m
-            else:
-                acc = (acc + w) % m
-            if i < half:
-                cb = cb * (4 * i + 2) % m * pow(i + 1, -1, m) % m
-                r = r * inv16 % m
-        q = fermat_quotient(2, p, k).value if tag != "c10" else 0
-        inv2 = pow(2, -1, m)
-        if tag == "c8":
-            rhs = (-sg * (-q + p * q * q * inv2) + p * E) % m
-        elif tag == "c9":
-            rhs = (sg * q * q + 6 * E) % m
-        else:
-            rhs = (sg + p * p * E) % m
-        return _result(tag, p, None, mod, acc, rhs)
-
-    if tag in ("c11", "c12"):
-        c_pref = pow(pow(2, p - 1, m), -1, m)  # 2^(1-p) mod m
-        inv16neg = pow(-16 % m, -1, m)
-        lo, hi = (0, half) if tag == "c11" else (half + 1, p - 1)
-        acc = 0
-        r = pow(inv16neg, lo, m)
-        for i in range(lo, hi + 1):
-            acc = (acc + _rearranged_summand_mod(p, m, i, c_pref, r)) % m
-            r = r * inv16neg % m
-        if tag == "c11":
-            rhs = (sg * p + 5 * p ** 3 * E) % m
-        else:
-            rhs = (-4 * p ** 3 * E) % m
-        return _result(tag, p, None, mod, acc, rhs)
-
-    if tag == "d4":
-        H, H2 = _harm_mod(p, k)
-        inv2 = pow(2, -1, m)
-        out = []
-        for i in range(half + 1):
-            lhs = (p - 2 * i) * (comb(3 * i, i) % m) % m * (comb(p + i, 3 * i) % m) % m
-            dh = (H[2 * i] - H[i]) % m
-            w = (dh * dh - H2[2 * i] - H2[i]) % m
-            rhs = (p - p * p * dh + p ** 3 * inv2 * w) % m
-            out.append(_result("d4", p, i, mod, lhs, rhs))
-        return out
-
-    # d5
-    H, H2 = _harm_mod(p, k)
-    lhs = _domb_sum_mod(p, m, -2, 2)
-    inv2 = pow(2, -1, m)
-    inv16 = pow(16, -1, m)
-    acc = 0
-    cb = 1
-    r = 1
-    for i in range(half + 1):
-        dh = (H[2 * i] - H[i]) % m
-        w = (dh * dh - H2[2 * i] - H2[i]) % m
-        inner = (1 - p * dh + (p * p * inv2 % m) * w) % m
-        acc = (acc + cb * cb % m * r % m * inner) % m
-        if i < half:
-            cb = cb * (4 * i + 2) % m * pow(i + 1, -1, m) % m
-            r = r * inv16 % m
-    rhs = pow(2, p, m) * p % m * acc % m
-    return _result("d5", p, None, mod, lhs, rhs)
+    rows = _PROOF_STEPS[tag](p, k, mod.m, _sign(p), _euler_p3(p))
+    return [_result(tag, p, i, mod, lhs, rhs) for i, lhs, rhs in rows]
 
 
 def verify_c12_tail_input(p: int):
@@ -379,6 +351,53 @@ def verify_c12_tail_input(p: int):
     return lhs, rhs, lhs == rhs
 
 
+def _exact_domb_sum(p: int, base: int, coeff_shift: int) -> Fraction:
+    """sum_{k<p} (3k + coeff_shift) Domb(k) / base^k, exactly."""
+    return sum(Fraction((3 * k + coeff_shift) * domb(k), base ** k) for k in range(p))
+
+
+def _exact_central_sum(half: int, weight) -> Fraction:
+    """sum_{i<=half} C(2i,i)^2 / 16^i * weight(i), exactly."""
+    return sum(Fraction(comb(2 * i, i) ** 2, 16 ** i) * weight(i) for i in range(half + 1))
+
+
+def _exact_rearranged_sum(p: int, lo: int, hi: int) -> Fraction:
+    return sum(
+        Fraction(2 * (p - i), 2 ** p)
+        * Fraction(1, (-16) ** i)
+        * comb(2 * i, i) ** 2
+        * comb(3 * i, i)
+        * comb(p + 2 * i, 3 * i)
+        for i in range(lo, hi + 1)
+    )
+
+
+def _exact_harm_weight(i: int) -> Fraction:
+    return (harmonic(2 * i) - harmonic(i)) ** 2 - harmonic(2 * i, 2) - harmonic(i, 2)
+
+
+# tag -> (p, half = (p-1)/2, index i of a per-index tag) -> the exact left side
+_EXACT_LHS = {
+    "thm1": lambda p, half, i: _exact_domb_sum(p, -32, 1),
+    "thm2": lambda p, half, i: _exact_domb_sum(p, -2, 2),
+    "b3": lambda p, half, i: alt_harmonic(half, 2),
+    "b4": lambda p, half, i: alt_harmonic_weighted(half),
+    "b5": lambda p, half, i: alt_harmonic(half, 1),
+    "b6": lambda p, half, i: sum(Fraction(1, p - 4 * j) for j in range(1, p // 4 + 1)),
+    "b8": lambda p, half, i: harmonic(p // 4, 2),
+    "b9": lambda p, half, i: harmonic(p // 4, 1),
+    "b11": lambda p, half, i: harmonic(half, 1),
+    "c5": lambda p, half, i: Fraction((-1) ** i * comb(half, i) * comb(half + i, i)),
+    "c8": lambda p, half, i: _exact_central_sum(half, lambda j: harmonic(2 * j) - harmonic(j)),
+    "c9": lambda p, half, i: _exact_central_sum(half, _exact_harm_weight),
+    "c10": lambda p, half, i: _exact_central_sum(half, lambda j: 1),
+    "c11": lambda p, half, i: _exact_rearranged_sum(p, 0, half),
+    "c12": lambda p, half, i: _exact_rearranged_sum(p, half + 1, p - 1),
+    "d4": lambda p, half, i: Fraction((p - 2 * i) * comb(3 * i, i) * comb(p + i, 3 * i)),
+    "d5": lambda p, half, i: _exact_domb_sum(p, -2, 2),
+}
+
+
 def exact_lhs(tag: str, p: int, index: int | None = None) -> Fraction:
     """The left side of a tagged check as an exact Fraction.
 
@@ -386,91 +405,11 @@ def exact_lhs(tag: str, p: int, index: int | None = None) -> Fraction:
     inverse is a true rational.  Reducing the result with residue_of_rational
     must reproduce the ring evaluation; intended for small p.
     """
-    if tag not in TAG_POWER:
+    if tag not in _EXACT_LHS:
         raise ValueError(f"unknown congruence tag {tag!r}")
     _require_prime(p)
     half = (p - 1) // 2
     if tag in PER_INDEX_TAGS:
         if index is None or not 0 <= index <= half:
             raise ValueError(f"{tag} needs an index i in [0, {half}]")
-    if tag == "thm1":
-        return sum(Fraction((3 * k + 1) * domb(k), (-32) ** k) for k in range(p))
-    if tag in ("thm2", "d5"):
-        return sum(Fraction((3 * k + 2) * domb(k), (-2) ** k) for k in range(p))
-    if tag == "b3":
-        return alt_harmonic(half, 2)
-    if tag == "b4":
-        return alt_harmonic_weighted(half)
-    if tag == "b5":
-        return alt_harmonic(half, 1)
-    if tag == "b6":
-        return sum(Fraction(1, p - 4 * i) for i in range(1, p // 4 + 1))
-    if tag == "b8":
-        return harmonic(p // 4, 2)
-    if tag == "b9":
-        return harmonic(p // 4, 1)
-    if tag == "b11":
-        return harmonic(half, 1)
-    if tag == "c5":
-        i = index
-        return Fraction((-1) ** i * comb(half, i) * comb(half + i, i))
-    if tag == "c8":
-        return sum(
-            Fraction(comb(2 * i, i) ** 2, 16 ** i)
-            * (harmonic(2 * i) - harmonic(i))
-            for i in range(half + 1)
-        )
-    if tag == "c9":
-        return sum(
-            Fraction(comb(2 * i, i) ** 2, 16 ** i)
-            * (
-                (harmonic(2 * i) - harmonic(i)) ** 2
-                - harmonic(2 * i, 2)
-                - harmonic(i, 2)
-            )
-            for i in range(half + 1)
-        )
-    if tag == "c10":
-        return sum(Fraction(comb(2 * i, i) ** 2, 16 ** i) for i in range(half + 1))
-    if tag in ("c11", "c12"):
-        lo, hi = (0, half) if tag == "c11" else (half + 1, p - 1)
-        return sum(
-            Fraction(2 * (p - i), 2 ** p)
-            * Fraction(1, (-16) ** i)
-            * comb(2 * i, i) ** 2
-            * comb(3 * i, i)
-            * comb(p + 2 * i, 3 * i)
-            for i in range(lo, hi + 1)
-        )
-    # d4
-    i = index
-    return Fraction((p - 2 * i) * comb(3 * i, i) * comb(p + i, 3 * i))
-
-
-def _verify_any(tag: str, p: int) -> list[CongruenceResult]:
-    if tag in ("thm1", "thm2"):
-        return [verify_thm1(p) if tag == "thm1" else verify_thm2(p)]
-    if tag in LEMMA_TAGS:
-        return [verify_lemma(tag, p)]
-    res = verify_proof_step(tag, p)
-    return res if isinstance(res, list) else [res]
-
-
-def sweep(ids, p_lo: int, p_hi: int) -> list[CongruenceResult]:
-    """Run the given tags over every prime in [p_lo, p_hi].
-
-    Results come back ordered by prime ascending, then by tag in catalog
-    order (per-index tags additionally by i ascending).
-    """
-    ids = list(ids)
-    for tag in ids:
-        if tag not in TAG_POWER:
-            raise ValueError(f"unknown congruence tag {tag!r}")
-    if not 5 <= p_lo <= p_hi:
-        raise BadRange(f"need 5 <= p_lo <= p_hi, got [{p_lo}, {p_hi}]")
-    ordered = [t for t in CONGRUENCE_TAGS if t in ids]
-    out: list[CongruenceResult] = []
-    for p in primes_in_range(p_lo, p_hi):
-        for tag in ordered:
-            out.extend(_verify_any(tag, p))
-    return out
+    return _EXACT_LHS[tag](p, half, index)

@@ -1,4 +1,4 @@
-"""Generalized harmonic numbers, plain and alternating, exact and reduced.
+"""Generalized harmonic numbers, plain and alternating, exact.
 
 H_n^(r) = sum_{j=1}^{n} 1/j^r, the alternating variant replaces 1/j^r by
 (-1)^j/j^r, and the weighted alternating variant sums (-1)^i H_i / i.
@@ -10,17 +10,7 @@ operations per index.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .arith import PrimePowerModulus, Residue, residue_of_rational
-
-VARIANTS = ("plain", "alternating", "alternating_weighted")
-
-
-class IndexReachesP(ValueError):
-    """A harmonic residue was requested with an index at or beyond p."""
-
 
 _lock = threading.Lock()
 _plain: dict[int, list[Fraction]] = {}
@@ -72,38 +62,3 @@ def alt_harmonic_weighted(n: int) -> Fraction:
             i = len(_weighted)
             _weighted.append(_weighted[-1] + Fraction((-1) ** i, i) * plain[i])
     return _weighted[n]
-
-
-@dataclass(frozen=True)
-class HarmonicSpec:
-    """Which harmonic sum: an index, an exponent and a variant."""
-
-    n: int
-    r: int = 1
-    variant: str = "plain"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
-
-    def exact(self) -> Fraction:
-        if self.variant == "plain":
-            return harmonic(self.n, self.r)
-        if self.variant == "alternating":
-            return alt_harmonic(self.n, self.r)
-        return alt_harmonic_weighted(self.n)
-
-
-def harmonic_residue(spec: HarmonicSpec, modulus: PrimePowerModulus) -> Residue:
-    """The exact harmonic value reduced mod p^k.
-
-    Well defined only while every denominator stays coprime to p, which is
-    guaranteed by requiring n < p.
-    """
-    if spec.n >= modulus.p:
-        raise IndexReachesP(
-            f"index {spec.n} reaches the prime {modulus.p}; a denominator would vanish"
-        )
-    return residue_of_rational(spec.exact(), modulus)

@@ -62,16 +62,6 @@ from .sequences import (
     franel,
 )
 
-IDENTITY_TAGS = (
-    "cz", "sunzh", "ctyz",
-    "c2", "d2", "c3", "d3",
-    "b1", "b2", "b10gen",
-    "e_inner_plus", "e_inner_alt", "e1", "e2",
-)
-
-TRANSFORMATION_TAGS = ("cz", "sunzh", "ctyz")
-
-
 class BadIndex(ValueError):
     """An inner-sum identity was asked outside its index triangle."""
 

@@ -60,16 +60,6 @@ class SequenceTable:
                     self._vals.append(self._step(self._vals))
         return self._vals[i]
 
-    def prefix(self, count: int) -> list[int]:
-        """The first `count` values as a fresh list."""
-        if count > 0:
-            self[count - 1]
-        return self._vals[:count]
-
-    @property
-    def max_index(self) -> int:
-        return len(self._vals) - 1
-
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)

@@ -10,15 +10,13 @@ import json
 import time
 
 from dombcheck.arith import PrimePowerModulus, primes_in_range, residue_of_rational
+from dombcheck.checks import CHECKS, sweep
 from dombcheck.cli import main
 from dombcheck.congruences import (
-    CONGRUENCE_TAGS,
     LEMMA_TAGS,
     PROOF_STEP_TAGS,
     TAG_POWER,
     exact_lhs,
-    sweep,
-    verify_lemma,
     verify_proof_step,
     verify_thm1,
     verify_thm2,
@@ -108,8 +106,8 @@ def test_criterion_05_proof_step_suite_to_199():
     split_ok = True
     for p in primes_in_range(5, 199):
         m = p ** 4
-        lhs11 = verify_proof_step("c11", p).lhs.value
-        lhs12 = verify_proof_step("c12", p).lhs.value
+        lhs11 = verify_proof_step("c11", p)[0].lhs.value
+        lhs12 = verify_proof_step("c12", p)[0].lhs.value
         if (lhs11 + lhs12) % m != verify_thm1(p).lhs.value:
             split_ok = False
             break
@@ -167,18 +165,11 @@ def test_criterion_08_oracle_equivalence_to_50():
     mismatches = []
     count = 0
     for p in primes_in_range(5, 50):
-        for tag in CONGRUENCE_TAGS:
+        for tag, check in CHECKS.items():
+            if check.suite != "congruences":
+                continue
             mod = PrimePowerModulus(p, TAG_POWER[tag])
-            if tag == "thm1":
-                ring = [verify_thm1(p)]
-            elif tag == "thm2":
-                ring = [verify_thm2(p)]
-            elif tag in LEMMA_TAGS:
-                ring = [verify_lemma(tag, p)]
-            else:
-                res = verify_proof_step(tag, p)
-                ring = res if isinstance(res, list) else [res]
-            for r in ring:
+            for r in check.verify(p):
                 count += 1
                 want = residue_of_rational(exact_lhs(tag, p, r.index), mod)
                 if want != r.lhs:

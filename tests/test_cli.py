@@ -1,14 +1,15 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import dataclasses
 import json
 import multiprocessing
 import sys
 
 import pytest
 
-from dombcheck import cli
+from dombcheck import cli, congruences, identities
+from dombcheck.checks import CHECKS
 from dombcheck.cli import _default_jobs, build_parser, main
-from dombcheck.identities import IDENTITY_TAGS
 
 
 def run(capsys, *argv):
@@ -155,10 +156,40 @@ def test_verify_injected_failure_flips_exit_code(capsys):
     )
     assert code == 1
     assert "FALSIFIED inject" in err
+    assert "rerun" not in err  # no check made the debug record
     report = json.loads(out)
     assert report["summary"]["failed"] == 1
     debug = [r for r in report["results"] if r["id"] == "inject"]
     assert debug and debug[0]["holds"] is False
+
+
+@pytest.mark.parametrize(
+    "module,attr,key,argv,rerun",
+    [
+        (identities, "check_c2", (7, 3),
+         ("verify", "all", "--ids", "c2", "--n-max", "10"),
+         "dombcheck verify identities --ids c2 --n-max 7"),
+        (congruences, "verify_thm1", (11,),
+         ("verify", "congruences", "--ids", "thm1", "--prime-hi", "23"),
+         "dombcheck verify congruences --ids thm1 --prime-lo 11 --prime-hi 11"),
+    ],
+    ids=["identities", "congruences"],
+)
+def test_falsified_line_carries_a_command_that_reruns_it(
+    capsys, monkeypatch, module, attr, key, argv, rerun
+):
+    real = getattr(module, attr)
+
+    def falsified_at_key(*args):
+        res = real(*args)
+        return dataclasses.replace(res, holds=False) if args == key else res
+
+    monkeypatch.setattr(module, attr, falsified_at_key)
+    code, _, err = run(capsys, *argv)
+    [line] = err.splitlines()
+    assert code == 1 and line.endswith(f" rerun: {rerun}")
+    code, _, err_again = run(capsys, *rerun.split()[1:])
+    assert code == 1 and err_again == err
 
 
 # ---------------------------------------------------------------- verify: csv
@@ -225,7 +256,7 @@ def test_reports_do_not_depend_on_jobs(capsys):
 def test_spawned_workers_give_the_serial_records(monkeypatch):
     # spawned workers import the package afresh, so every inner-sum prefix
     # starts empty in them; criterion 10 runs the pool under fork only
-    tasks = list(cli._identity_tasks(IDENTITY_TAGS, 30))
+    tasks = cli._tasks([t for t, c in CHECKS.items() if c.suite == "identities"], 30, [])
     serial = cli._run_all(tasks, 1)
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)

@@ -6,17 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dombcheck.arith import BadRange, NotPrime, PrimePowerModulus, residue_of_rational
+from dombcheck import congruences
+from dombcheck.arith import (
+    BadRange,
+    NotPrime,
+    PrimePowerModulus,
+    Residue,
+    primes_in_range,
+    residue_of_rational,
+)
+from dombcheck.checks import CHECKS, sweep
 from dombcheck.congruences import (
-    CONGRUENCE_TAGS,
-    CongruenceId,
     LEMMA_TAGS,
     PER_INDEX_TAGS,
     PROOF_STEP_TAGS,
     PTooSmall,
     TAG_POWER,
     exact_lhs,
-    sweep,
     verify_c12_tail_input,
     verify_lemma,
     verify_proof_step,
@@ -26,18 +32,12 @@ from dombcheck.congruences import (
 from dombcheck.sequences import domb_via_ctyz
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
+CONGRUENCE_TAGS = tuple(t for t, c in CHECKS.items() if c.suite == "congruences")
 
 
 def ring_results(tag, p):
     """All ring-route results for one tag at one prime, as a list."""
-    if tag == "thm1":
-        return [verify_thm1(p)]
-    if tag == "thm2":
-        return [verify_thm2(p)]
-    if tag in LEMMA_TAGS:
-        return [verify_lemma(tag, p)]
-    res = verify_proof_step(tag, p)
-    return res if isinstance(res, list) else [res]
+    return CHECKS[tag].verify(p)
 
 
 # ---------------------------------------------------------------- catalog
@@ -49,12 +49,6 @@ def test_tag_catalog_is_closed_and_powers_are_as_stated():
     assert TAG_POWER["thm1"] == TAG_POWER["thm2"] == 4
     assert TAG_POWER["c10"] == 3
     assert TAG_POWER["c9"] == 1
-    assert CongruenceId("c10").required_power == 3
-
-
-def test_congruence_id_rejects_unknown_tags():
-    with pytest.raises(ValueError):
-        CongruenceId("zz")
 
 
 # ---------------------------------------------------------------- frozen residues
@@ -79,10 +73,10 @@ def test_lemma_frozen_residues():
 
 
 def test_proof_step_frozen_residues():
-    c10 = verify_proof_step("c10", 5)
+    [c10] = verify_proof_step("c10", 5)
     assert (c10.lhs.value, c10.modulus.m) == (101, 125)
-    assert verify_proof_step("c11", 5).lhs.value == 5
-    assert verify_proof_step("c12", 5).lhs.value == 500
+    assert verify_proof_step("c11", 5)[0].lhs.value == 5
+    assert verify_proof_step("c12", 5)[0].lhs.value == 500
 
 
 # ---------------------------------------------------------------- full holds
@@ -106,8 +100,8 @@ def test_c11_and_c12_partition_the_thm1_sum():
     """The two halves of the rearranged sum add up to the full left side."""
     for p in (5, 7, 11, 13):
         m = p ** 4
-        c11 = verify_proof_step("c11", p)
-        c12 = verify_proof_step("c12", p)
+        [c11] = verify_proof_step("c11", p)
+        [c12] = verify_proof_step("c12", p)
         assert (c11.lhs.value + c12.lhs.value) % m == verify_thm1(p).lhs.value
 
 
@@ -116,12 +110,6 @@ def test_c12_tail_input_holds_and_is_frozen_at_5():
     assert (lhs.value, lhs.modulus.m, holds) == (50, 125, True)
     for p in SMALL_PRIMES:
         assert verify_c12_tail_input(p)[2]
-
-
-def test_results_reduce_coherently_to_lower_powers():
-    res = verify_thm1(5)
-    assert res.lhs.reduced_to(2).value == 505 % 25
-    assert res.lhs.reduced_to(1) == res.rhs.reduced_to(1)
 
 
 # ---------------------------------------------------------------- dual routes
@@ -192,7 +180,7 @@ def test_unknown_tags_are_rejected():
 
 def test_sweep_orders_by_prime_then_catalog_then_index():
     out = sweep(("b3", "thm1", "c5"), 5, 7)
-    flat = [(r.p, r.id.tag, r.index) for r in out]
+    flat = [(r.p, r.id, r.index) for r in out]
     assert flat == [
         (5, "thm1", None), (5, "b3", None),
         (5, "c5", 0), (5, "c5", 1), (5, "c5", 2),
@@ -213,3 +201,53 @@ def test_sweep_validation():
         sweep(("thm1",), 11, 7)
     with pytest.raises(ValueError):
         sweep(("thm1", "zz"), 5, 11)
+
+
+# ---------------------------------------------------------------- mutations
+
+def _fermat_plus_one(fermat_quotient):
+    def mutant(a, p, k=1):
+        q = fermat_quotient(a, p, k)
+        return Residue(q.value + 1, q.modulus)
+    return mutant
+
+
+def _harm_doubled(harm_mod):
+    def mutant(p, k):
+        H, H2 = harm_mod(p, k)
+        return [2 * h for h in H], H2
+    return mutant
+
+
+# ingredient -> (its mutant, the exact set of tags that must catch it);
+# c5 is in no set: both of its sides use only local binomials
+MUTANTS = {
+    "_euler_p3": (
+        lambda euler_p3: lambda p: euler_p3(p) + 1,
+        {"thm1", "thm2", "b3", "b4", "b5", "b8", "b9", "c8", "c9", "c10", "c11", "c12"},
+    ),
+    "fermat_quotient": (
+        _fermat_plus_one,
+        {"b4", "b5", "b6", "b9", "b11", "c8", "c9"},
+    ),
+    "_harm_mod": (
+        _harm_doubled,
+        {"c8", "c9", "d4", "d5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_registry_catches_each_mutated_ingredient(monkeypatch, name):
+    """Every congruence entry runs at p <= 50 on a mutated shared ingredient;
+    exactly the tags whose sides use it falsify, and the others still hold."""
+    make_mutant, want = MUTANTS[name]
+    monkeypatch.setattr(congruences, name, make_mutant(getattr(congruences, name)))
+    primes = primes_in_range(5, 50)
+    caught = {
+        tag
+        for tag, check in CHECKS.items()
+        if check.suite == "congruences"
+        and not all(holds for p in primes for *_, holds in check.evaluate(p))
+    }
+    assert caught == want

@@ -5,15 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dombcheck.arith import PrimePowerModulus
-from dombcheck.harmonic import (
-    HarmonicSpec,
-    IndexReachesP,
-    alt_harmonic,
-    alt_harmonic_weighted,
-    harmonic,
-    harmonic_residue,
-)
+from dombcheck.arith import DenominatorDivisibleByP, PrimePowerModulus, residue_of_rational
+from dombcheck.harmonic import alt_harmonic, alt_harmonic_weighted, harmonic
 
 
 # ---------------------------------------------------------------- exact values
@@ -66,35 +59,20 @@ def test_wolstenholme_shape_of_the_full_prefix(p):
     assert harmonic(p - 1, 2).numerator % p == 0
 
 
-# ---------------------------------------------------------------- specs
-
-def test_spec_dispatch_matches_module_functions():
-    assert HarmonicSpec(6).exact() == harmonic(6)
-    assert HarmonicSpec(6, 2).exact() == harmonic(6, 2)
-    assert HarmonicSpec(6, 2, "alternating").exact() == alt_harmonic(6, 2)
-    assert HarmonicSpec(6, 1, "alternating_weighted").exact() == alt_harmonic_weighted(6)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        HarmonicSpec(3, 1, "nope")
-    with pytest.raises(ValueError):
-        HarmonicSpec(-1)
-
-
 # ---------------------------------------------------------------- residues
 
 def test_harmonic_residue_frozen_example():
     # H_4 = 25/12 and 25 * 12^(-1) = 47 mod 49
-    r = harmonic_residue(HarmonicSpec(4), PrimePowerModulus(7, 2))
+    r = residue_of_rational(harmonic(4), PrimePowerModulus(7, 2))
     assert r.value == 47
 
 
 def test_harmonic_residue_rejects_index_at_p():
-    with pytest.raises(IndexReachesP):
-        harmonic_residue(HarmonicSpec(5), PrimePowerModulus(5, 2))
-    with pytest.raises(IndexReachesP):
-        harmonic_residue(HarmonicSpec(9), PrimePowerModulus(7, 1))
+    # from index p on, p divides the denominator and there is no residue
+    with pytest.raises(DenominatorDivisibleByP):
+        residue_of_rational(harmonic(5), PrimePowerModulus(5, 2))
+    with pytest.raises(DenominatorDivisibleByP):
+        residue_of_rational(harmonic(9), PrimePowerModulus(7, 1))
 
 
 @given(
@@ -111,7 +89,7 @@ def test_harmonic_residue_matches_termwise_modular_sum(p, k, n, r):
     acc = 0
     for j in range(1, n + 1):
         acc = (acc + pow(j ** r, -1, m)) % m
-    got = harmonic_residue(HarmonicSpec(n, r), PrimePowerModulus(p, k))
+    got = residue_of_rational(harmonic(n, r), PrimePowerModulus(p, k))
     assert got.value == acc
 
 
@@ -127,5 +105,5 @@ def test_alternating_residue_matches_termwise_modular_sum(p, k, n):
     acc = 0
     for j in range(1, n + 1):
         acc = (acc + (-1) ** j * pow(j, -1, m)) % m
-    got = harmonic_residue(HarmonicSpec(n, 1, "alternating"), PrimePowerModulus(p, k))
+    got = residue_of_rational(alt_harmonic(n), PrimePowerModulus(p, k))
     assert got.value == acc

