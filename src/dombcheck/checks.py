@@ -60,7 +60,7 @@ def _per_prime(n_max, primes):
 
 
 def _whole_range(n_max, primes):
-    return ((n_max,),)
+    return ((n_max,),) if n_max >= 1 else ()
 
 
 # ---------------------------------------------------------------- rows

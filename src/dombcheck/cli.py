@@ -10,7 +10,8 @@ Subcommands:
          [--out PATH] [--format json|csv] [--timing] [--inject-failure]
       run every selected check and emit a machine-readable report.
       Exit code 0 when everything holds, 1 on any falsification, 2 on usage
-      errors.
+      errors, which include a selection that leaves some check with nothing
+      to run.
 
   series <rogers|ccl> --k K
       print the partial-sum approximation, the analytic target and the
@@ -20,7 +21,7 @@ Reports are deterministic: results are sorted by (id, numeric params), keys
 are emitted in a fixed order, and big numbers are decimal strings.  The
 measured wall time is included only when --timing is passed, so that
 otherwise identical invocations produce byte-identical reports regardless
-of --jobs.  DOMBCHECK_JOBS provides a default for --jobs; the flag wins.
+of --jobs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -201,11 +201,14 @@ def cmd_series(args) -> int:
 
 
 def _resolve_ids(suite, requested) -> list[str]:
-    """The selected tags in catalog order; ValueError names any unknown one."""
+    """The selected tags in catalog order; ValueError names any unknown one
+    and refuses a list that names none."""
     known = [tag for tag, check in CHECKS.items() if suite in ("all", check.suite)]
     if not requested:
         return known
     wanted = [t.strip() for t in requested.split(",") if t.strip()]
+    if not wanted:
+        raise ValueError("no check id selected")
     bad = [t for t in wanted if t not in known]
     if bad:
         raise ValueError(f"unknown check ids for suite {suite}: {', '.join(bad)}")
@@ -234,6 +237,11 @@ def cmd_verify(args) -> int:
         return 2
 
     tasks = _tasks(ids, args.n_max, primes_in_range(args.prime_lo, args.prime_hi))
+    selected = {task[0] for task in tasks}
+    starved = [tag for tag in ids if tag not in selected]
+    if starved:
+        print(f"nothing to check in this range for: {', '.join(starved)}", file=sys.stderr)
+        return 2
     records = _run_all(tasks, args.jobs)
     if args.inject_failure:
         records.append(
@@ -268,14 +276,6 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("DOMBCHECK_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dombcheck",
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", type=int, default=100)
     v.add_argument("--prime-lo", type=int, default=5)
     v.add_argument("--prime-hi", type=int, default=199)
-    v.add_argument("--jobs", type=int, default=None)
+    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default="")
     v.add_argument("--format", choices=["json", "csv"], default="json")
     v.add_argument("--timing", action="store_true",
@@ -316,8 +316,6 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    if getattr(args, "cmd", "") == "verify" and args.jobs is None:
-        args.jobs = _default_jobs()
     return args.fn(args)
 
 

@@ -2,12 +2,13 @@
 
 Each tagged check compares two residues in Z/p^k, where k is the power the
 claim is stated at.  The production (sweep) route evaluates the left side
-entirely inside the residue ring: powers such as 2^(1-p) or (-32)^(-k) are
-modular exponentials and inverses, never rationals, and harmonic sums are
-accumulated term by term from modular inverses.  `exact_lhs` provides the
-deliberately separate small-p oracle route, which forms the exact Fraction
-and reduces it at the end; the two must agree and the test suite checks
-that they do.
+with residues: powers such as 2^(1-p) or (-32)^(-k) are modular exponentials
+and inverses, never rationals; harmonic sums and the central terms
+16^-i C(2i,i)^2 are updated in-ring term by term.  c11, c12 and d4 still
+form C(3i,i), C(p+2i,3i), C(p+i,3i) as exact integers, then reduce them.
+`exact_lhs` provides the deliberately separate small-p oracle route, which
+forms the exact Fraction and reduces it at the end; the two must agree and
+the test suite checks that they do.
 
 Tag catalog, with the power k of the modulus p^k:
 
@@ -99,7 +100,6 @@ def _euler_p3(p: int) -> int:
     return euler_number_mod(p - 3, p).value
 
 
-@lru_cache(maxsize=16)
 def _harm_mod(p: int, k: int):
     """Prefix lists of H_j and H^(2)_j mod p^k for 0 <= j <= p-1."""
     m = p ** k
@@ -197,47 +197,31 @@ def verify_lemma(tag: str, p: int) -> CongruenceResult:
     return _result(tag, p, None, mod, lhs, rhs)
 
 
+def _central_terms(p: int, m: int, hi: int) -> list[int]:
+    """16^-i C(2i,i)^2 mod m for 0 <= i <= hi <= p-1, each from the one
+    before by the factor ((2i-1) / 2i)^2, in-ring: 2i is a unit since i < p."""
+    terms = [1]
+    for i in range(1, hi + 1):
+        terms.append(terms[-1] * (2 * i - 1) ** 2 % m * pow(2 * i, -2, m) % m)
+    return terms
+
+
 def _central_sum(p: int, m: int, weight) -> int:
-    """sum_{i<=(p-1)/2} 16^-i C(2i,i)^2 weight(i) inside Z/m; C(2i,i) and
-    16^-i are updated in-ring from one i to the next."""
-    half = (p - 1) // 2
-    inv16 = pow(16, -1, m)
-    acc = 0
-    cb = 1  # C(2i,i) mod m
-    r = 1   # 16^-i mod m
-    for i in range(half + 1):
-        acc = (acc + cb * cb % m * r % m * weight(i)) % m
-        if i < half:
-            cb = cb * (4 * i + 2) % m * pow(i + 1, -1, m) % m
-            r = r * inv16 % m
-    return acc
-
-
-def _rearranged_summand_mod(p: int, m: int, i: int, c_pref: int, inv16neg: int) -> int:
-    """2^(1-p) (p-i) (-16)^-i C(2i,i)^2 C(3i,i) C(p+2i,3i) mod m.
-
-    c_pref is 2^(1-p) mod m and inv16neg is (-16)^(-i) mod m, both supplied
-    by the caller so the loop can keep them incremental.
-    """
-    t = c_pref * (p - i) % m
-    t = t * inv16neg % m
-    t = t * (comb(2 * i, i) % m) % m
-    t = t * (comb(2 * i, i) % m) % m
-    t = t * (comb(3 * i, i) % m) % m
-    t = t * (comb(p + 2 * i, 3 * i) % m) % m
-    return t
+    """sum_{i<=(p-1)/2} 16^-i C(2i,i)^2 weight(i) inside Z/m."""
+    terms = _central_terms(p, m, (p - 1) // 2)
+    return sum(t * weight(i) for i, t in enumerate(terms)) % m
 
 
 def _rearranged_sum(p: int, m: int, lo: int, hi: int) -> int:
-    """The rearranged thm1 summands for lo <= i <= hi, summed inside Z/m."""
-    c_pref = pow(pow(2, p - 1, m), -1, m)  # 2^(1-p) mod m
-    inv16neg = pow(-16 % m, -1, m)
+    """The rearranged thm1 summands
+    2^(1-p) (p-i) (-16)^-i C(2i,i)^2 C(3i,i) C(p+2i,3i) for lo <= i <= hi,
+    summed inside Z/m; (-16)^-i C(2i,i)^2 is (-1)^i times a central term."""
+    terms = _central_terms(p, m, hi)
     acc = 0
-    r = pow(inv16neg, lo, m)
     for i in range(lo, hi + 1):
-        acc = (acc + _rearranged_summand_mod(p, m, i, c_pref, r)) % m
-        r = r * inv16neg % m
-    return acc
+        t = (-1) ** i * (p - i) * terms[i] % m
+        acc = (acc + t * (comb(3 * i, i) % m) % m * (comb(p + 2 * i, 3 * i) % m)) % m
+    return acc * pow(pow(2, p - 1, m), -1, m) % m  # times 2^(1-p)
 
 
 def _c5(p, k, m, sg, E):
@@ -254,15 +238,10 @@ def _c5(p, k, m, sg, E):
         return fact[a] * inv_fact[b] % m * inv_fact[a - b] % m
 
     half = (p - 1) // 2
-    inv16 = pow(16, -1, m)
-    out = []
-    r = 1
-    for i in range(half + 1):
-        lhs = (-1) ** i * binom_mod(half, i) * binom_mod(half + i, i) % m
-        cb = binom_mod(2 * i, i)
-        out.append((i, lhs, r * cb % m * cb % m))
-        r = r * inv16 % m
-    return out
+    return [
+        (i, (-1) ** i * binom_mod(half, i) * binom_mod(half + i, i) % m, rhs)
+        for i, rhs in enumerate(_central_terms(p, m, half))
+    ]
 
 
 def _c8(p, k, m, sg, E):
@@ -337,16 +316,7 @@ def verify_c12_tail_input(p: int):
     """
     _require_prime(p)
     mod = PrimePowerModulus(p, 3)
-    m = mod.m
-    half = (p - 1) // 2
-    inv16 = pow(16, -1, m)
-    acc = 0
-    r = pow(inv16, half + 1, m)
-    for i in range(half + 1, p):
-        cb = comb(2 * i, i) % m
-        acc = (acc + cb * cb % m * r) % m
-        r = r * inv16 % m
-    lhs = Residue(acc, mod)
+    lhs = Residue(sum(_central_terms(p, mod.m, p - 1)[(p + 1) // 2:]), mod)
     rhs = Residue(-2 * p * p * _euler_p3(p), mod)
     return lhs, rhs, lhs == rhs
 

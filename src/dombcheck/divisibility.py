@@ -15,12 +15,11 @@ integer comparisons only.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import franel_expansion
-from .sequences import domb
+from .sequences import domb, domb_partial_sum
 
 
 class NotInteger(ArithmeticError):
@@ -29,20 +28,6 @@ class NotInteger(ArithmeticError):
 
 class NotPositive(ArithmeticError):
     """The normalized sum failed to be positive (falsification)."""
-
-
-_lock = threading.Lock()
-# raw partial sums S(n) = sum_{k<n} (2k+1) Domb(k) base^(n-1-k), index = n
-_psums = {8: [0], -8: [0]}
-
-
-def _raw_sum(n: int, base: int) -> int:
-    with _lock:
-        tab = _psums[base]
-        while len(tab) <= n:
-            j = len(tab)  # building S(j) from S(j-1)
-            tab.append(base * tab[j - 1] + (2 * j - 1) * domb(j - 1))
-    return _psums[base][n]
 
 
 def thm3_value(n: int, base: int) -> int:
@@ -55,7 +40,7 @@ def thm3_value(n: int, base: int) -> int:
         raise ValueError(f"base must be +8 or -8, got {base}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = _raw_sum(n, base)
+    s = domb_partial_sum(n, 2, 1, base)
     q, r = divmod(s, n)
     if r != 0:
         raise NotInteger(f"sum {s} is not divisible by n={n} (base {base})")
@@ -80,7 +65,7 @@ def check_thm3(n: int, base: int) -> Thm3Record:
         raise ValueError(f"base must be +8 or -8, got {base}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    value = Fraction(_raw_sum(n, base), n)
+    value = Fraction(domb_partial_sum(n, 2, 1, base), n)
     other = franel_expansion(n, base)
     holds = value.denominator == 1 and value > 0 and value == other
     return Thm3Record(n, base, value, other, holds)
@@ -115,5 +100,5 @@ def check_alternating_positivity(n: int):
     Returns (flag, the exact integer sum)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = _raw_sum(n, -8)
+    s = domb_partial_sum(n, 2, 1, -8)
     return s > 0, s

@@ -5,15 +5,15 @@ equality of two Fractions computed by disjoint code paths; the only shared
 ingredients are the binomial, sequence and harmonic primitives.  A False
 here is a falsification event, not a soft failure.
 
-The inner-sum left sides (c2, d2, e_inner_plus, e_inner_alt) are running
-prefixes along n for a fixed i.  Each (tag, i) column keeps a cursor
-(n, sum) and a check adds only the summands between the cursor and the n
-it is asked for, so a sweep in ascending n costs O(1) big-int operations
-per record instead of an O(n) sum.  For c2 the prefix is the left side
-times (-2)^(n-1), an integer, and both sides are compared as integers over
-that denominator; c3 and d3 likewise compare integer numerators over a
-common power of two.  A prefix is built from the summands alone, never
-from a closed form, so the two sides stay independent routes.
+Every left side that is a sum along n is a `sequences.running_sum` cursor
+(n, sum): one per (tag, i) column for the inner sums c2, d2, e_inner_plus
+and e_inner_alt, and the weighted Domb partial sum for c3, d3, e1 and e2.
+A check adds only the summands between the cursor and its n, so a sweep in
+ascending n costs O(1) big-int operations per record, not an O(n) sum.
+For c2 the prefix is the left side times (-2)^(n-1), an integer; c2, c3
+and d3 compare integer numerators over one power of two.  A left side is
+built from the summands alone, never from a closed form, so the two sides
+stay independent routes.
 
 Check catalog (ids as used throughout the tool):
 
@@ -48,18 +48,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .harmonic import alt_harmonic, alt_harmonic_weighted, harmonic
 from .sequences import (
     binomial,
     catalan,
     central_binomial,
-    domb,
     domb_by_definition,
+    domb_partial_sum,
     domb_via_cz,
     domb_via_ctyz,
     domb_via_sunzh,
     franel,
+    running_sum,
 )
 
 class BadIndex(ValueError):
@@ -102,44 +104,22 @@ def check_transformation(tag: str, n: int) -> IdentityReport:
     return _report(tag, (n,), domb_by_definition(n), routes[tag](n))
 
 
-# Running left sides of the inner-sum identities: (tag, i) -> (n, acc), where
-# acc is the integer numerator of the left side at n.  Entries are replaced
-# whole, never mutated, so a reader sees a consistent pair without a lock.
-_cursors: dict[tuple[str, int], tuple[int, int]] = {}
-
-
-def _prefix(tag, i, n, start, ratio, term) -> int:
-    """acc(n) for column i, where acc(start) = 0 and
-    acc(k+1) = ratio * acc(k) + term(k, i).
-
-    The column's cursor moves forward from where the last call left it, or
-    restarts at `start` when asked for a smaller n, so visiting a column in
-    ascending n costs O(1) terms per call.
-    """
-    k, acc = _cursors.get((tag, i), (start, 0))
-    if k > n:
-        k, acc = start, 0
-    while k < n:
-        acc = ratio * acc + term(k, i)
-        k += 1
-    _cursors[(tag, i)] = (n, acc)
-    return acc
-
-
-def _c2_term(k, i):
+# summands of the inner sums, as term(i, k); each column (tag, i) is a
+# running sum over k
+def _c2_term(i, k):
     return (3 * k + 1) * binomial(k + 2 * i, 3 * i)
 
 
-def _d2_term(k, i):
+def _d2_term(i, k):
     return (-2) ** k * (3 * k + 2) * binomial(k + i, 3 * i)
 
 
-def _e_plus_term(k, i):
+def _e_plus_term(i, k):
     return (2 * k + 1) * binomial(k, i) * binomial(k + i, i)
 
 
-def _e_alt_term(k, i):
-    return (-1) ** k * _e_plus_term(k, i)
+def _e_alt_term(i, k):
+    return (-1) ** k * _e_plus_term(i, k)
 
 
 def check_c2(n: int, i: int) -> IdentityReport:
@@ -147,7 +127,7 @@ def check_c2(n: int, i: int) -> IdentityReport:
         raise BadIndex(f"need 0 <= i <= n-1, got n={n} i={i}")
     # both sides times (-2)^(n-1): the left side is then the integer
     # sum_{k=i}^{n-1} (3k+1) (-2)^(n-1-k) C(k+2i,3i)
-    lhs = _prefix("c2", i, n, i, -2, _c2_term)
+    lhs = running_sum(("c2", i), n, i, -2, partial(_c2_term, i))
     rhs = (n - i) * binomial(n + 2 * i, 3 * i)
     return _report_over("c2", (n, i), lhs, rhs, (-2) ** (n - 1))
 
@@ -155,7 +135,7 @@ def check_c2(n: int, i: int) -> IdentityReport:
 def check_d2(n: int, i: int) -> IdentityReport:
     if not (0 <= i and 2 * i <= n - 1):
         raise BadIndex(f"need 0 <= 2i <= n-1, got n={n} i={i}")
-    lhs = _prefix("d2", i, n, 2 * i, 1, _d2_term)
+    lhs = running_sum(("d2", i), n, 2 * i, 1, partial(_d2_term, i))
     rhs = (-1) ** (n - 1) * (n - 2 * i) * binomial(n + i, 3 * i) * 2 ** n
     return _report("d2", (n, i), lhs, rhs)
 
@@ -169,9 +149,7 @@ def check_rearrangement(tag: str, n: int) -> IdentityReport:
     # both sides times (-32)^(n-1) (c3) or (-2)^(n-1) (d3), both positive
     # powers of two since n is odd; each side is then a Horner sum in integers
     if tag == "c3":
-        lhs = 0
-        for k in range(n):
-            lhs = -32 * lhs + (3 * k + 1) * domb(k)
+        lhs = domb_partial_sum(n, 3, 1, -32)
         rhs = 0  # sum_i (n-i) C(2i,i)^2 C(3i,i) C(n+2i,3i) (-16)^(n-1-i)
         for i in range(n):
             rhs = -16 * rhs + (
@@ -182,9 +160,7 @@ def check_rearrangement(tag: str, n: int) -> IdentityReport:
             )
         den = (-32) ** (n - 1)
     else:
-        lhs = 0
-        for k in range(n):
-            lhs = -2 * lhs + (3 * k + 2) * domb(k)
+        lhs = domb_partial_sum(n, 3, 2, -2)
         rhs = 0  # 2 sum_i (n-2i) C(2i,i)^2 C(3i,i) C(n+i,3i) 16^((n-1)/2-i)
         for i in range((n - 1) // 2 + 1):
             rhs = 16 * rhs + (
@@ -245,10 +221,10 @@ def check_e_inner(tag: str, n: int, i: int) -> IdentityReport:
     if not 0 <= i <= n - 1:
         raise BadIndex(f"need 0 <= i <= n-1, got n={n} i={i}")
     if tag == "e_inner_plus":
-        lhs = _prefix(tag, i, n, i, 1, _e_plus_term)
+        lhs = running_sum((tag, i), n, i, 1, partial(_e_plus_term, i))
         rhs = n * (n - i) * catalan(i) * binomial(n + i, 2 * i)
     else:
-        lhs = _prefix(tag, i, n, i, 1, _e_alt_term)
+        lhs = running_sum((tag, i), n, i, 1, partial(_e_alt_term, i))
         rhs = (-1) ** (n - 1) * n * binomial(n - 1, i) * binomial(n + i, i)
     return _report(tag, (n, i), lhs, rhs)
 
@@ -265,9 +241,7 @@ def check_e_full(tag: str, n: int) -> IdentityReport:
     if n < 1:
         raise BadIndex(f"need n >= 1, got {n}")
     base = 8 if tag == "e1" else -8
-    lhs = Fraction(
-        sum((2 * k + 1) * domb(k) * base ** (n - 1 - k) for k in range(n)), n
-    )
+    lhs = Fraction(domb_partial_sum(n, 2, 1, base), n)
     return _report(tag, (n,), lhs, franel_expansion(n, base))
 
 

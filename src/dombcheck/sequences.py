@@ -13,9 +13,11 @@ stays available as its own route, `domb_by_definition`, which evaluates one
 row from scratch and shares nothing with the table.  Three transformed
 summations cross-validate both.  Every exact division in these generators
 is checked and raises ArithmeticError on a remainder, so the guards survive
-`python -O`.  Partial sums of the two 1/pi-type series are accumulated as
-integer numerators over a common power-of-two denominator, turned into one
-exact rational at the end and only then converted to a float.
+`python -O`.  Running sums along n live in one place, `running_sum`, which
+keeps one cursor (n, sum) per key; the weighted Domb partial sum
+S(n; a, b, base) = sum_{k<n} (a k + b) Domb(k) base^(n-1-k) is one such
+cursor.  It is the numerator of both 1/pi-type series over a power-of-two
+denominator, turned into one exact rational and only then into a float.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def binomial(n: int, k: int) -> int:
 
 
 class SequenceTable:
-    """A memoized integer sequence prefix.
+    """A memoized sequence prefix.
 
     Extension appends only; existing entries are never mutated.  A lock
     confines extension to one writer at a time, so concurrent readers of
@@ -59,6 +61,26 @@ class SequenceTable:
                 while len(self._vals) <= i:
                     self._vals.append(self._step(self._vals))
         return self._vals[i]
+
+
+# Running sums: key -> (n, acc), only the latest value.  Entries are replaced
+# whole, never mutated, so a reader sees a consistent pair without a lock.
+_cursors: dict[tuple, tuple[int, int]] = {}
+
+
+def running_sum(key, n: int, start: int, ratio: int, term) -> int:
+    """acc(n) for the sum named by key: acc(start) = 0 and
+    acc(k+1) = ratio * acc(k) + term(k).  The cursor moves on from the last
+    call's n, or restarts at `start` for a smaller n, so visiting a key in
+    ascending n costs O(1) terms per call."""
+    k, acc = _cursors.get(key, (start, 0))
+    if k > n:
+        k, acc = start, 0
+    while k < n:
+        acc = ratio * acc + term(k)
+        k += 1
+    _cursors[key] = (n, acc)
+    return acc
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -98,6 +120,13 @@ def domb(n: int) -> int:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _domb_table[n]
+
+
+def domb_partial_sum(n: int, a: int, b: int, base: int) -> int:
+    """S(n) = sum_{k<n} (a k + b) Domb(k) base^(n-1-k); S(0) = 0."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return running_sum(("domb", a, b, base), n, 0, base, lambda k: (a * k + b) * domb(k))
 
 
 def domb_by_definition(n: int) -> int:
@@ -257,12 +286,10 @@ def rogers_partial(K: int) -> float:
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    # Horner over the common denominator: S_K = N_K / (-32)^K, and
-    # S_(K-1) = -32 N_(K-1) / (-32)^K
-    num = prev = 0
-    for k in range(K + 1):
-        prev = num
-        num = -32 * num + (3 * k + 1) * domb(k)
+    # over the common denominator: the K-th partial sum is S(K+1) / (-32)^K,
+    # and the K-1-st is -32 S(K) / (-32)^K
+    prev = domb_partial_sum(K, 3, 1, -32)
+    num = domb_partial_sum(K + 1, 3, 1, -32)
     return _to_real(Fraction(num - 32 * prev, 2 * (-32) ** K))
 
 
@@ -271,8 +298,5 @@ def ccl_partial(K: int) -> float:
     its limit 8/(sqrt(3) pi).  Needs K >= 0."""
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
-    # Horner over the common denominator: S_K = N_K / 64^K
-    num = 0
-    for k in range(K + 1):
-        num = 64 * num + (5 * k + 1) * domb(k)
-    return _to_real(Fraction(num, 64 ** K))
+    # over the common denominator: the K-th partial sum is S(K+1) / 64^K
+    return _to_real(Fraction(domb_partial_sum(K + 1, 5, 1, 64), 64 ** K))

@@ -9,7 +9,7 @@ import pytest
 
 from dombcheck import cli, congruences, identities
 from dombcheck.checks import CHECKS
-from dombcheck.cli import _default_jobs, build_parser, main
+from dombcheck.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -226,6 +226,23 @@ def test_verify_bad_ranges(capsys, argv):
     assert code == 2 and "need" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "all", "--ids", ","), "no check id selected"),
+        (("verify", "congruences", "--prime-lo", "24", "--prime-hi", "28"), "thm1, thm2, b3"),
+        (("verify", "all", "--prime-lo", "24", "--prime-hi", "28"), "thm1, thm2, b3"),
+        (("verify", "divisibility", "--n-max", "0"),
+         "thm3_plus, thm3_minus, ratio_monotone, alt_positivity"),
+    ],
+    ids=["no_ids", "congruences_without_primes", "all_without_primes", "divisibility_n0"],
+)
+def test_an_empty_selection_is_a_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
@@ -280,15 +297,6 @@ def test_out_flag_writes_the_report_to_a_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- plumbing
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("DOMBCHECK_JOBS", "4")
-    assert _default_jobs() == 4
-    monkeypatch.setenv("DOMBCHECK_JOBS", "junk")
-    assert _default_jobs() == 1
-    monkeypatch.delenv("DOMBCHECK_JOBS")
-    assert _default_jobs() == 1
-
 
 def test_parser_prog_name():
     assert build_parser().prog == "dombcheck"

@@ -219,8 +219,16 @@ def _harm_doubled(harm_mod):
     return mutant
 
 
-# ingredient -> (its mutant, the exact set of tags that must catch it);
-# c5 is in no set: both of its sides use only local binomials
+def _central_term_1_unscaled(central_terms):
+    """The central terms with the 16^-i factor dropped at i = 1."""
+    def mutant(p, m, hi):
+        terms = central_terms(p, m, hi)
+        terms[1] = terms[1] * 16 % m
+        return terms
+    return mutant
+
+
+# ingredient -> (its mutant, the exact set of tags that must catch it)
 MUTANTS = {
     "_euler_p3": (
         lambda euler_p3: lambda p: euler_p3(p) + 1,
@@ -233,6 +241,10 @@ MUTANTS = {
     "_harm_mod": (
         _harm_doubled,
         {"c8", "c9", "d4", "d5"},
+    ),
+    "_central_terms": (
+        _central_term_1_unscaled,
+        {"c5", "c8", "c9", "c10", "c11", "d5"},
     ),
 }
 

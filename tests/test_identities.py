@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dombcheck import identities
+from dombcheck import identities, sequences
 from dombcheck.identities import (
     BadIndex,
     EvenN,
@@ -141,8 +141,8 @@ def test_inner_prefixes_equal_the_direct_sums(tag, order):
 @pytest.mark.parametrize("tag", sorted(DIRECT_LHS))
 def test_a_corrupted_prefix_is_caught(tag, monkeypatch):
     assert _holds(tag, 9, 3)
-    n, acc = identities._cursors[(tag, 3)]
-    monkeypatch.setitem(identities._cursors, (tag, 3), (n, acc + 1))
+    n, acc = sequences._cursors[(tag, 3)]
+    monkeypatch.setitem(sequences._cursors, (tag, 3), (n, acc + 1))
     assert not _holds(tag, 10, 3)
 
 

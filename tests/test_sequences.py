@@ -6,11 +6,12 @@ by incremental multiplicative updates.  The tests require the two to agree,
 and check the definition route in turn against an oracle that goes the
 other way and evaluates the defining binomial sum with math.comb from
 scratch.  The series partial sums are checked exactly against a running
-Fraction sum.
+Fraction sum, and the shared weighted Domb partial sum against a direct sum.
 """
 
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import dombcheck
 from dombcheck import sequences
 from dombcheck.arith import NotPrime
+from dombcheck.checks import CHECKS
 from dombcheck.sequences import (
     CCL_LIMIT,
     ROGERS_LIMIT,
@@ -32,6 +34,7 @@ from dombcheck.sequences import (
     central_binomial,
     domb,
     domb_by_definition,
+    domb_partial_sum,
     domb_via_cz,
     domb_via_ctyz,
     domb_via_sunzh,
@@ -279,3 +282,50 @@ def test_series_reject_out_of_range_k():
         rogers_partial(1)
     with pytest.raises(ValueError):
         ccl_partial(-1)
+
+
+# ---------------------------------------------------------------- Domb partial sums
+
+# (a, b, base) of every weighted Domb partial sum the package reads
+PARTIAL_SUMS = [(3, 1, -32), (3, 2, -2), (2, 1, 8), (2, 1, -8), (5, 1, 64)]
+
+
+def direct_partial_sum(n, a, b, base):
+    """sum_{k<n} (a k + b) Domb(k) base^(n-1-k), summed afresh: the oracle
+    for the running cursor."""
+    return sum((a * k + b) * domb(k) * base ** (n - 1 - k) for k in range(n))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("a, b, base", PARTIAL_SUMS)
+def test_domb_partial_sum_equals_the_direct_sum(a, b, base, order):
+    ns = list(range(61))
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(ns)
+    for n in ns:
+        value = domb_partial_sum(n, a, b, base)
+        assert value == direct_partial_sum(n, a, b, base), n
+        # the cursor holds the latest sum only
+        assert sequences._cursors[("domb", a, b, base)] == (n, value)
+
+
+@pytest.mark.parametrize(
+    "key, tag, n, later",
+    [
+        ((2, 1, 8), "thm3_plus", 9, 10),
+        ((2, 1, 8), "e1", 9, 10),
+        ((3, 1, -32), "c3", 9, 11),
+    ],
+    ids=["thm3_plus", "e1", "c3"],
+)
+def test_a_corrupted_partial_sum_is_caught(key, tag, n, later, monkeypatch):
+    def holds(m):
+        return all(ok for *_, ok in CHECKS[tag].evaluate(m))
+
+    assert holds(n)
+    cursor = ("domb", *key)
+    at, acc = sequences._cursors[cursor]
+    monkeypatch.setitem(sequences._cursors, cursor, (at, acc + 1))
+    assert not holds(later)
