@@ -1,14 +1,18 @@
 """Congruence checks for Domb-type sums mod powers of a prime.
 
 Each tagged check compares two residues in Z/p^k, where k is the power the
-claim is stated at.  The production (sweep) route evaluates the left side
-with residues: powers such as 2^(1-p) or (-32)^(-k) are modular exponentials
+claim is stated at.  The production (sweep) route works inside Z/p^k
+throughout: powers such as 2^(1-p) or (-32)^(-k) are modular exponentials
 and inverses, never rationals; harmonic sums and the central terms
-16^-i C(2i,i)^2 are updated in-ring term by term.  c11, c12 and d4 still
-form C(3i,i), C(p+2i,3i), C(p+i,3i) as exact integers, then reduce them.
-`exact_lhs` provides the deliberately separate small-p oracle route, which
-forms the exact Fraction and reduces it at the end; the two must agree and
-the test suite checks that they do.
+16^-i C(2i,i)^2 are updated in-ring term by term; Domb(k) for k < p comes
+from the Domb recurrence run inside Z/p^4 (thm1, thm2, d5); and C(3i,i),
+C(p+2i,3i), C(p+i,3i) come from one table of p-adic unit factorials up to
+3p and the valuation v_p(n!) = floor(n/p) (c11, c12, d4).  A batch of units
+is inverted with one pow.  `exact_lhs` provides the deliberately separate
+small-p oracle route, which forms the exact Fraction from the big-int Domb
+table and math.comb and reduces it at the end; the two must agree and the
+test suite checks that they do, and checks the table binomials against
+math.comb and the in-ring Domb sums against the big-int table to p <= 499.
 
 Tag catalog, with the power k of the modulus p^k:
 
@@ -37,7 +41,9 @@ Tag catalog, with the power k of the modulus p^k:
                   (1 - p (H_2i-H_i) + (p^2/2)((H_2i-H_i)^2 - H^(2)_2i - H^(2)_i))
 
 E_{p-3} enters every right side only with a factor of at least p^(k-1), so
-its residue mod p suffices; it is produced by the in-ring Euler recurrence.
+its residue mod p suffices; it comes from the secant series,
+`euler_number_mod_by_secant`, whose oracle is the Pascal-triangle route
+`euler_number_mod` (the tests require them to agree for p <= 997).
 q_p(2) is the Fermat quotient (2^(p-1) - 1)/p.
 """
 
@@ -50,7 +56,7 @@ from math import comb
 
 from .arith import NotPrime, PrimePowerModulus, Residue, fermat_quotient, is_prime
 from .harmonic import alt_harmonic, alt_harmonic_weighted, harmonic
-from .sequences import domb, euler_number_mod
+from .sequences import domb, domb_recurrence, euler_number_mod_by_secant
 
 TAG_POWER = {
     "thm1": 4, "thm2": 4,
@@ -97,7 +103,21 @@ def _sign(p: int) -> int:
 @lru_cache(maxsize=None)
 def _euler_p3(p: int) -> int:
     """E_{p-3} mod p as a plain int, shared by every check at this prime."""
-    return euler_number_mod(p - 3, p).value
+    return euler_number_mod_by_secant(p - 3, p).value
+
+
+def _inverses(xs, m: int) -> list[int]:
+    """The inverses of the units xs inside Z/m with one pow: prefix
+    products, then a walk back down them."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % m)
+    inv = pow(prefix[-1], -1, m)
+    out = [0] * len(xs)
+    for j in range(len(xs) - 1, -1, -1):
+        out[j] = inv * prefix[j] % m
+        inv = inv * xs[j] % m
+    return out
 
 
 def _harm_mod(p: int, k: int):
@@ -105,8 +125,7 @@ def _harm_mod(p: int, k: int):
     m = p ** k
     H = [0] * p
     H2 = [0] * p
-    for j in range(1, p):
-        iv = pow(j, -1, m)
+    for j, iv in enumerate(_inverses(range(1, p), m), 1):
         H[j] = (H[j - 1] + iv) % m
         H2[j] = (H2[j - 1] + iv * iv) % m
     return H, H2
@@ -118,14 +137,25 @@ def _harm_weight(H, H2, i: int) -> int:
     return dh * dh - H2[2 * i] - H2[i]
 
 
+def _domb_residues(p: int, m: int) -> list[int]:
+    """Domb(k) mod m for 0 <= k < p, by the Domb recurrence inside Z/m:
+    its leading coefficient k^3 is a unit for k < p, and all of them are
+    inverted at once."""
+    coeffs = [domb_recurrence(k) for k in range(2, p)]
+    D = [1, 4]
+    for (_, a, b), iv in zip(coeffs, _inverses([c for c, _, _ in coeffs], m)):
+        D.append((a * D[-1] + b * D[-2]) * iv % m)
+    return D
+
+
 def _domb_sum_mod(p: int, m: int, base: int, coeff_shift: int) -> int:
-    """sum_{k<p} (3k + coeff_shift) Domb(k) base^(-k) inside Z/m."""
-    r = 1
-    inv_base = pow(base % m, -1, m)
+    """sum_{k<p} (3k + coeff_shift) Domb(k) base^(-k) inside Z/m, by Horner
+    in base^-1 from the top term down."""
+    inv_base = pow(base, -1, m)
+    D = _domb_residues(p, m)
     acc = 0
-    for k in range(p):
-        acc = (acc + (3 * k + coeff_shift) * (domb(k) % m) * r) % m
-        r = r * inv_base % m
+    for k in range(p - 1, -1, -1):
+        acc = (acc * inv_base + (3 * k + coeff_shift) * D[k]) % m
     return acc
 
 
@@ -212,15 +242,38 @@ def _central_sum(p: int, m: int, weight) -> int:
     return sum(t * weight(i) for i, t in enumerate(terms)) % m
 
 
+def _unit_factorials(p: int, m: int):
+    """u(n) = n! with every factor p taken out, mod m, for 0 <= n <= 3p, and
+    the list of their inverses.  Up to 3p the multiples of p are p, 2p and
+    3p, which leave the units 1, 2 and 3."""
+    u = [1] * (3 * p + 1)
+    for n in range(1, 3 * p + 1):
+        u[n] = u[n - 1] * (n // p if n % p == 0 else n) % m
+    return u, _inverses(u, m)
+
+
+def _binomials_mod(p: int, m: int):
+    """C(a, b) mod m for 0 <= b <= a <= 3p, as a function of (a, b), from the
+    unit factorials and the valuation v_p(n!) = floor(n/p) (n < p^2)."""
+    u, inv = _unit_factorials(p, m)
+
+    def binom(a: int, b: int) -> int:
+        v = a // p - b // p - (a - b) // p
+        return u[a] * inv[b] % m * inv[a - b] * p ** v % m
+
+    return binom
+
+
 def _rearranged_sum(p: int, m: int, lo: int, hi: int) -> int:
     """The rearranged thm1 summands
     2^(1-p) (p-i) (-16)^-i C(2i,i)^2 C(3i,i) C(p+2i,3i) for lo <= i <= hi,
     summed inside Z/m; (-16)^-i C(2i,i)^2 is (-1)^i times a central term."""
     terms = _central_terms(p, m, hi)
+    binom = _binomials_mod(p, m)
     acc = 0
     for i in range(lo, hi + 1):
         t = (-1) ** i * (p - i) * terms[i] % m
-        acc = (acc + t * (comb(3 * i, i) % m) % m * (comb(p + 2 * i, 3 * i) % m)) % m
+        acc = (acc + t * binom(3 * i, i) % m * binom(p + 2 * i, 3 * i)) % m
     return acc * pow(pow(2, p - 1, m), -1, m) % m  # times 2^(1-p)
 
 
@@ -260,10 +313,11 @@ def _c9(p, k, m, sg, E):
 
 def _d4(p, k, m, sg, E):
     H, H2 = _harm_mod(p, k)
+    binom = _binomials_mod(p, m)
     inv2 = pow(2, -1, m)
     out = []
     for i in range((p - 1) // 2 + 1):
-        lhs = (p - 2 * i) * (comb(3 * i, i) % m) % m * (comb(p + i, 3 * i) % m) % m
+        lhs = (p - 2 * i) * binom(3 * i, i) % m * binom(p + i, 3 * i) % m
         rhs = p - p * p * (H[2 * i] - H[i]) + p ** 3 * inv2 * _harm_weight(H, H2, i)
         out.append((i, lhs, rhs))
     return out

@@ -18,6 +18,13 @@ keeps one cursor (n, sum) per key; the weighted Domb partial sum
 S(n; a, b, base) = sum_{k<n} (a k + b) Domb(k) base^(n-1-k) is one such
 cursor.  It is the numerator of both 1/pi-type series over a power-of-two
 denominator, turned into one exact rational and only then into a float.
+
+E_n mod p has two routes.  `euler_number_mod` runs the Euler recurrence
+sum_j C(2m,2j) E_2j = 0 inside Z/p with a Pascal triangle, for any n, in
+O(n^2) steps.  `euler_number_mod_by_secant`, for n < p, inverts the cosine
+series over Z/p by Newton iteration (Brent & Kung, JACM 1978), each product
+one big-int multiply by Kronecker substitution, and reads E_n off sec x.
+The congruence checks use the secant route; the Pascal route is its oracle.
 """
 
 from __future__ import annotations
@@ -100,15 +107,18 @@ def _central_step(vals):
 central_binomial = SequenceTable("central_binomial", _central_step)
 
 
+def domb_recurrence(n: int) -> tuple[int, int, int]:
+    """The coefficients (c, a, b) of the Domb recurrence at n >= 2:
+    c D(n) = a D(n-1) + b D(n-2) with c = n^3."""
+    return n ** 3, 2 * (2 * n - 1) * (5 * n * n - 5 * n + 2), -64 * (n - 1) ** 3
+
+
 def _domb_step(vals):
     n = len(vals)
     if n < 2:
         return (1, 4)[n]
-    num = (
-        2 * (2 * n - 1) * (5 * n * n - 5 * n + 2) * vals[n - 1]
-        - 64 * (n - 1) ** 3 * vals[n - 2]
-    )
-    return _exact_div(num, n ** 3)
+    c, a, b = domb_recurrence(n)
+    return _exact_div(a * vals[n - 1] + b * vals[n - 2], c)
 
 
 _domb_table = SequenceTable("domb", _domb_step)
@@ -262,6 +272,73 @@ def euler_number_mod(n: int, p: int) -> Residue:
                 acc += row[2 * j] * e[2 * j]
             e[r] = (-acc) % p
     return Residue(e[n], mod)
+
+
+def _series_mul(a: list[int], b: list[int], p: int, n: int) -> list[int]:
+    """The first n coefficients of the product a*b over Z/p, by Kronecker
+    substitution: each factor is packed into one int with a fixed-width
+    slot per coefficient, the two ints are multiplied once, and the slots
+    are read back.  A slot is wide enough for any coefficient of the
+    integer product, so no carry crosses into the next one."""
+    a, b = a[:n], b[:n]
+    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1
+
+    def pack(c):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") % p for i in range(n)]
+
+
+def _newton_step(f: list[int], g: list[int], p: int, n: int) -> list[int]:
+    """g (2 - f g) mod y^n over Z/p, for g = 1/f mod y^k and k < n <= 2k: the
+    inverse to precision n.  With f g = 1 + y^k e, this is g - y^k g e, so
+    only the top n - k coefficients are new."""
+    k = len(g)
+    e = _series_mul(f, g, p, n)[k:]
+    return g + [-c % p for c in _series_mul(g, e, p, n - k)]
+
+
+def _series_inverse_mod(f: list[int], p: int) -> list[int]:
+    """1/f mod y^len(f) over Z/p by Newton iteration (Brent & Kung 1978),
+    for f[0] a unit; the result is checked against f before it is returned."""
+    n = len(f)
+    g = [pow(f[0], -1, p)]
+    while len(g) < n:
+        g = _newton_step(f, g, p, min(2 * len(g), n))
+    if _series_mul(f, g, p, n) != [1] + [0] * (n - 1):
+        raise ArithmeticError("power-series inverse is not one, internal error")
+    return g
+
+
+def euler_number_mod_by_secant(n: int, p: int) -> Residue:
+    """E_n mod p for 0 <= n < p from sec x = 1/cos x.
+
+    In y = x^2, cos x = sum_j (-1)^j y^j / (2j)!; its inverse over Z/p, by
+    Newton iteration with Kronecker-substituted products, is
+    sec x = sum_j (-1)^j E_2j y^j / (2j)!, so E_2j = (-1)^j (2j)! [y^j] sec.
+    Every (2j)! with 2j < p is a unit.  A second route to the residues of
+    `euler_number_mod`, sharing no code with it and using no harmonic or
+    power sums.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if not 0 <= n < p:
+        raise ValueError(f"need 0 <= n < p, got n = {n}, p = {p}")
+    mod = PrimePowerModulus(p, 1)
+    if n % 2 == 1:
+        return Residue(0, mod)
+    fact = [1] * (n + 1)
+    for j in range(1, n + 1):
+        fact[j] = fact[j - 1] * j % p
+    inv_fact = [1] * (n + 1)
+    inv_fact[n] = pow(fact[n], -1, p)
+    for j in range(n, 0, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % p
+    h = n // 2
+    cos = [(-1) ** j * inv_fact[2 * j] % p for j in range(h + 1)]
+    sec = _series_inverse_mod(cos, p)
+    return Residue((-1) ** h * fact[n] * sec[h], mod)
 
 
 # analytic limits of the two series, as ordinary floats

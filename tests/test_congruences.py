@@ -2,6 +2,7 @@
 comparison between ring evaluation and exact-rational reduction."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from dombcheck.congruences import (
     verify_thm1,
     verify_thm2,
 )
-from dombcheck.sequences import domb_via_ctyz
+from dombcheck.sequences import domb, domb_via_ctyz
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
 CONGRUENCE_TAGS = tuple(t for t, c in CHECKS.items() if c.suite == "congruences")
@@ -132,6 +133,32 @@ def test_dual_route_agreement_sampled_wider(tag, p):
     assert want == res.lhs
 
 
+def test_table_binomials_equal_comb():
+    """C(a, b) mod p^4 from the unit-factorial table, for all b <= a < 3p."""
+    for p in primes_in_range(5, 47):
+        m = p ** 4
+        binom = congruences._binomials_mod(p, m)
+        for a in range(3 * p):
+            for b in range(a + 1):
+                assert binom(a, b) == comb(a, b) % m, (p, a, b)
+
+
+def domb_sum_by_big_ints(p, base, shift):
+    """sum_{k<p} (3k + shift) Domb(k) base^-k mod p^4, from the big-int
+    Domb table reduced term by term."""
+    m = p ** 4
+    return sum((3 * k + shift) * domb(k) * pow(base, -k, m) for k in range(p)) % m
+
+
+def test_in_ring_domb_sums_equal_a_big_int_oracle():
+    for p in primes_in_range(5, 499):
+        minus_2 = domb_sum_by_big_ints(p, -2, 2)
+        assert verify_thm1(p).lhs.value == domb_sum_by_big_ints(p, -32, 1), p
+        assert verify_thm2(p).lhs.value == minus_2, p
+        [d5] = verify_proof_step("d5", p)
+        assert d5.lhs.value == minus_2, p
+
+
 def test_exact_lhs_validation():
     with pytest.raises(ValueError):
         exact_lhs("zz", 5)
@@ -228,6 +255,24 @@ def _central_term_1_unscaled(central_terms):
     return mutant
 
 
+def _unit_inverse_1_doubled(unit_factorials):
+    """The unit-factorial table with the inverse of u(1) doubled."""
+    def mutant(p, m):
+        u, inv = unit_factorials(p, m)
+        inv[1] = 2 * inv[1] % m
+        return u, inv
+    return mutant
+
+
+def _domb_residue_1_plus_one(domb_residues):
+    """The in-ring Domb residues with Domb(1) off by one."""
+    def mutant(p, m):
+        D = domb_residues(p, m)
+        D[1] = (D[1] + 1) % m
+        return D
+    return mutant
+
+
 # ingredient -> (its mutant, the exact set of tags that must catch it)
 MUTANTS = {
     "_euler_p3": (
@@ -245,6 +290,14 @@ MUTANTS = {
     "_central_terms": (
         _central_term_1_unscaled,
         {"c5", "c8", "c9", "c10", "c11", "d5"},
+    ),
+    "_unit_factorials": (
+        _unit_inverse_1_doubled,
+        {"c11", "c12", "d4"},
+    ),
+    "_domb_residues": (
+        _domb_residue_1_plus_one,
+        {"thm1", "thm2", "d5"},
     ),
 }
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import dombcheck
 from dombcheck import sequences
-from dombcheck.arith import NotPrime
+from dombcheck.arith import NotPrime, primes_in_range
 from dombcheck.checks import CHECKS
 from dombcheck.sequences import (
     CCL_LIMIT,
@@ -40,6 +40,7 @@ from dombcheck.sequences import (
     domb_via_sunzh,
     euler_number,
     euler_number_mod,
+    euler_number_mod_by_secant,
     franel,
     rogers_partial,
 )
@@ -232,6 +233,63 @@ def test_euler_number_mod_rejects_bad_input():
         euler_number_mod(-1, 5)
     with pytest.raises(ValueError):
         euler_number(-1)
+
+
+def test_secant_route_equals_the_pascal_route_to_997():
+    """E_{p-3} mod p, the residue every congruence right side reads, by the
+    secant route against the Pascal-triangle recurrence at every prime."""
+    for p in primes_in_range(5, 997):
+        assert euler_number_mod_by_secant(p - 3, p) == euler_number_mod(p - 3, p), p
+
+
+def test_secant_route_equals_the_exact_value():
+    for p in primes_in_range(2, 50):
+        for n in range(p):
+            assert euler_number_mod_by_secant(n, p).value == euler_number(n) % p, (n, p)
+
+
+def test_secant_route_rejects_bad_input():
+    with pytest.raises(NotPrime):
+        euler_number_mod_by_secant(4, 9)
+    with pytest.raises(ValueError):
+        euler_number_mod_by_secant(-2, 5)
+    with pytest.raises(ValueError):
+        euler_number_mod_by_secant(5, 5)  # 5! is not a unit mod 5
+
+
+# a Newton step whose last new coefficient is off by one
+BAD_NEWTON_STEP = """
+from dombcheck import sequences
+good_step = sequences._newton_step
+
+def bad_step(f, g, p, n):
+    out = good_step(f, g, p, n)
+    out[-1] = (out[-1] + 1) % p
+    return out
+"""
+
+
+def test_a_bad_newton_step_is_caught(monkeypatch):
+    ns = {}
+    exec(BAD_NEWTON_STEP, ns)
+    monkeypatch.setattr(sequences, "_newton_step", ns["bad_step"])
+    with pytest.raises(ArithmeticError, match="power-series inverse"):
+        euler_number_mod_by_secant(98, 101)
+
+
+def test_a_bad_newton_step_is_caught_under_optimized_mode():
+    # python -O strips assert statements; the inverse's guard must be a raise
+    code = BAD_NEWTON_STEP + (
+        "sequences._newton_step = bad_step\n"
+        "sequences.euler_number_mod_by_secant(98, 101)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dombcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError: power-series inverse" in proc.stderr
 
 
 # ---------------------------------------------------------------- series
