@@ -29,7 +29,6 @@ from .sequences import (
     domb_via_sunzh,
     euler_number,
     euler_number_mod,
-    euler_number_mod_by_secant,
     franel,
     rogers_partial,
 )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import isqrt
 
 
 class DenominatorDivisibleByP(ValueError):
@@ -48,21 +46,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending, by a sieve of
-    Eratosthenes over [lo, hi] that strikes the multiples of each prime up
-    to sqrt(hi); memory is one byte per number in the range and below
-    sqrt(hi)."""
+    """All primes p with lo <= p <= hi, ascending."""
     if lo < 2 or lo > hi:
         raise BadRange(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    root = isqrt(hi)
-    small = bytearray([1]) * (root + 1)
-    window = bytearray([1]) * (hi - lo + 1)
-    for d in range(2, root + 1):
-        if small[d]:
-            small[d * d::d] = bytes(len(range(d * d, root + 1, d)))
-            first = max(d * d, -(-lo // d) * d)
-            window[first - lo::d] = bytes(len(range(first, hi + 1, d)))
-    return list(compress(range(lo, hi + 1), window))
+    return [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 @dataclass(frozen=True)

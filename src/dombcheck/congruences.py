@@ -125,7 +125,8 @@ def _harm_mod(p: int, k: int):
     m = p ** k
     H = [0] * p
     H2 = [0] * p
-    for j, iv in enumerate(_inverses(range(1, p), m), 1):
+    for j in range(1, p):
+        iv = pow(j, -1, m)
         H[j] = (H[j - 1] + iv) % m
         H2[j] = (H2[j - 1] + iv * iv) % m
     return H, H2

@@ -43,17 +43,6 @@ def test_primes_in_range():
     assert primes_in_range(2, 2) == [2]
 
 
-@pytest.mark.parametrize(
-    "lo,hi",
-    [(2, 10 ** 4), (24, 28), (90, 96), (4, 4), (2, 3), (97, 97), (3, 50),
-     (9000, 9100), (9973, 10 ** 4)],
-)
-def test_sieve_equals_the_trial_division_filter(lo, hi):
-    """The sieve behind primes_in_range against is_prime on every number,
-    including ranges that hold no prime."""
-    assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
-
-
 @pytest.mark.parametrize("lo,hi", [(1, 10), (0, 5), (10, 5), (-3, 3)])
 def test_primes_in_range_rejects_bad_bounds(lo, hi):
     with pytest.raises(BadRange):
