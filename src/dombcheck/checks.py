@@ -4,8 +4,11 @@ An entry names its suite, its grid and its evaluator.  The grid maps
 (n_max, primes) to the argument tuples the tag runs at; the evaluator runs
 the check at one argument tuple and returns a list of report rows
 (params, lhs, rhs, modulus, holds).  Congruence entries also keep `verify`,
-which returns the CongruenceResults behind those rows.  Adding a check
-takes one entry here and no edit anywhere else.
+which returns the CongruenceResults behind those rows.  Adding an identity
+or divisibility check takes one entry here and no edit anywhere else.  A
+congruence check is defined by its `_SWEEP` and `_EXACT_LHS` entries in
+`congruences`; the entries of its lemma (b) and proof-step (c, d) tags here
+follow from `_SWEEP`.
 
 Evaluators call the check functions through their modules at call time
 (`identities.check_c2(...)`), never through a stored function object, so

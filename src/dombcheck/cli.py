@@ -32,7 +32,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .arith import primes_in_range
@@ -51,27 +50,6 @@ from .sequences import (
 SERIES_MAX_K = 10000
 
 
-def _fmt(x) -> str:
-    """Decimal-string form of an int, Fraction or residue value."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
-
-def _record(suite, cid, params: dict, lhs, rhs, modulus, holds) -> dict:
-    return {
-        "suite": suite,
-        "id": cid,
-        "params": params,
-        "lhs": _fmt(lhs) if not isinstance(lhs, str) else lhs,
-        "rhs": _fmt(rhs) if not isinstance(rhs, str) else rhs,
-        "modulus": modulus,
-        "holds": bool(holds),
-    }
-
-
 # ---------------------------------------------------------------- tasks
 
 def _tasks(tags, n_max, primes) -> list[tuple]:
@@ -80,16 +58,13 @@ def _tasks(tags, n_max, primes) -> list[tuple]:
 
 
 def _run_task(task) -> list[dict]:
-    check = CHECKS[task[0]]
+    """The report records of one task, keyed in the JSON report's order;
+    str() prints an int, a Fraction (n or n/d) and a str as the report has them."""
     return [
-        _record(check.suite, check.tag, params, lhs, rhs, modulus, holds)
-        for params, lhs, rhs, modulus, holds in check.evaluate(*task[1:])
+        {"id": task[0], "params": params, "lhs": str(lhs), "rhs": str(rhs),
+         "modulus": modulus, "holds": bool(holds)}
+        for params, lhs, rhs, modulus, holds in CHECKS[task[0]].evaluate(*task[1:])
     ]
-
-
-def _prewarm(tasks) -> None:
-    """Fill the Domb table in the parent so forked workers inherit it."""
-    domb(max(task[1] for task in tasks))
 
 
 def _run_all(tasks, jobs) -> list[dict]:
@@ -101,7 +76,6 @@ def _run_all(tasks, jobs) -> list[dict]:
     import concurrent.futures as cf
     import multiprocessing as mp
 
-    _prewarm(tasks)
     try:
         ctx = mp.get_context("fork")
     except ValueError:
@@ -121,23 +95,12 @@ def _sort_key(rec):
 
 
 def _json_report(command, params, records, wall_ms) -> str:
-    results = [
-        {
-            "id": r["id"],
-            "params": r["params"],
-            "lhs": r["lhs"],
-            "rhs": r["rhs"],
-            "modulus": r["modulus"],
-            "holds": r["holds"],
-        }
-        for r in records
-    ]
     failed = sum(1 for r in records if not r["holds"])
     report = {
         "tool_version": __version__,
         "command": command,
         "params": params,
-        "results": results,
+        "results": records,
         "summary": {
             "total": len(records),
             "passed": len(records) - failed,
@@ -154,12 +117,13 @@ def _csv_report(records) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["suite", "id", "p_or_n", "aux_index", "modulus", "lhs", "rhs", "holds"])
     for r in records:
+        check = CHECKS.get(r["id"])  # None for the injected debug record
         vals = list(r["params"].values())
         p_or_n = vals[0] if vals else ""
         aux = vals[1] if len(vals) > 1 else ""
         w.writerow(
-            [r["suite"], r["id"], p_or_n, aux, r["modulus"], r["lhs"], r["rhs"],
-             "true" if r["holds"] else "false"]
+            [check.suite if check else "debug", r["id"], p_or_n, aux, r["modulus"],
+             r["lhs"], r["rhs"], "true" if r["holds"] else "false"]
         )
     return buf.getvalue()
 
@@ -222,7 +186,7 @@ def _rerun(rec) -> str:
         return ""
     name, value = next(iter(rec["params"].items()))
     bounds = f"--prime-lo {value} --prime-hi {value}" if name == "p" else f"--n-max {value}"
-    return f" rerun: dombcheck verify {rec['suite']} --ids {rec['id']} {bounds}"
+    return f" rerun: dombcheck verify {CHECKS[rec['id']].suite} --ids {rec['id']} {bounds}"
 
 
 def cmd_verify(args) -> int:
@@ -244,9 +208,8 @@ def cmd_verify(args) -> int:
         return 2
     records = _run_all(tasks, args.jobs)
     if args.inject_failure:
-        records.append(
-            _record("debug", "inject", {}, "0", "1", "", False)
-        )
+        records.append({"id": "inject", "params": {}, "lhs": "0", "rhs": "1",
+                        "modulus": "", "holds": False})
     records.sort(key=_sort_key)
 
     failed = [r for r in records if not r["holds"]]

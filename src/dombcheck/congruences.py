@@ -1,20 +1,26 @@
 """Congruence checks for Domb-type sums mod powers of a prime.
 
 Each tagged check compares two residues in Z/p^k, where k is the power the
-claim is stated at.  The production (sweep) route works inside Z/p^k
-throughout: powers such as 2^(1-p) or (-32)^(-k) are modular exponentials
-and inverses, never rationals; harmonic sums and the central terms
-16^-i C(2i,i)^2 are updated in-ring term by term; Domb(k) for k < p comes
-from the Domb recurrence run inside Z/p^4 (thm1, thm2, d5); and C(3i,i),
-C(p+2i,3i), C(p+i,3i) come from one table of p-adic unit factorials up to
-3p and the valuation v_p(n!) = floor(n/p) (c11, c12, d4).  A batch of units
-is inverted with one pow.  `exact_lhs` provides the deliberately separate
-small-p oracle route, which forms the exact Fraction from the big-int Domb
-table and math.comb and reduces it at the end; the two must agree and the
-test suite checks that they do, and checks the table binomials against
-math.comb and the in-ring Domb sums against the big-int table to p <= 499.
+claim is stated at.  The table `_SWEEP` is the one definition of the
+catalog: for each tag, in catalog order, its power k and its in-ring
+formula for both sides.  `_verify` runs every tag from it, and `TAG_POWER`
+and the tag groups are read off it.  `_EXACT_LHS` is the oracle table, the
+same left sides computed exactly.
 
-Tag catalog, with the power k of the modulus p^k:
+The production (sweep) route works inside Z/p^k throughout: powers such as
+2^(1-p) or (-32)^(-k) are modular exponentials and inverses, never
+rationals; harmonic sums and the central terms 16^-i C(2i,i)^2 are updated
+in-ring term by term; Domb(k) for k < p comes from the Domb recurrence run
+inside Z/p^4 (thm1, thm2, d5); and C(3i,i), C(p+2i,3i), C(p+i,3i) come
+from one table of p-adic unit factorials up to 3p and the valuation
+v_p(n!) = floor(n/p) (c11, c12, d4).  A batch of units is inverted with
+one pow.  `exact_lhs` provides the deliberately separate small-p oracle
+route, which forms the exact Fraction from the big-int Domb table and
+math.comb and reduces it at the end; the two must agree and the test suite
+checks that they do, and checks the table binomials against math.comb and
+the in-ring Domb sums against the big-int table to p <= 499.
+
+The claims, with the power k of the modulus p^k:
 
   thm1  4  sum_{k<p} (3k+1) Domb(k)/(-32)^k == (-1)^((p-1)/2) p + p^3 E_{p-3}
   thm2  4  sum_{k<p} (3k+2) Domb(k)/(-2)^k == 2p(-1)^((p-1)/2) + 6 p^3 E_{p-3}
@@ -58,12 +64,6 @@ from .arith import NotPrime, PrimePowerModulus, Residue, fermat_quotient, is_pri
 from .harmonic import alt_harmonic, alt_harmonic_weighted, harmonic
 from .sequences import domb, domb_recurrence, euler_number_mod_by_secant
 
-TAG_POWER = {
-    "thm1": 4, "thm2": 4,
-    "b3": 1, "b4": 1, "b5": 2, "b6": 2, "b8": 1, "b9": 2, "b11": 2,
-    "c5": 2, "c8": 2, "c9": 1, "c10": 3, "c11": 4, "c12": 4,
-    "d4": 4, "d5": 4,
-}
 PER_INDEX_TAGS = ("c5", "d4")
 
 
@@ -160,26 +160,6 @@ def _domb_sum_mod(p: int, m: int, base: int, coeff_shift: int) -> int:
     return acc
 
 
-def verify_thm1(p: int) -> CongruenceResult:
-    """sum_{k<p} (3k+1) Domb(k)/(-32)^k mod p^4 against its closed form."""
-    _require_prime(p)
-    mod = PrimePowerModulus(p, 4)
-    m = mod.m
-    lhs = _domb_sum_mod(p, m, -32, 1)
-    rhs = (_sign(p) * p + p ** 3 * _euler_p3(p)) % m
-    return _result("thm1", p, None, mod, lhs, rhs)
-
-
-def verify_thm2(p: int) -> CongruenceResult:
-    """sum_{k<p} (3k+2) Domb(k)/(-2)^k mod p^4 against its closed form."""
-    _require_prime(p)
-    mod = PrimePowerModulus(p, 4)
-    m = mod.m
-    lhs = _domb_sum_mod(p, m, -2, 2)
-    rhs = (2 * p * _sign(p) + 6 * p ** 3 * _euler_p3(p)) % m
-    return _result("thm2", p, None, mod, lhs, rhs)
-
-
 def _inverse_sum(m: int, n: int, r: int = 1, sign: int = 1) -> int:
     """sum_{j=1}^{n} sign^j / j^r inside Z/m."""
     return sum(sign ** j * pow(j, -r, m) for j in range(1, n + 1)) % m
@@ -193,39 +173,6 @@ def _b4_lhs(p: int, m: int) -> int:
         h = (h + iv) % m
         lhs = (lhs + (-1) ** i * h * iv) % m
     return lhs
-
-
-# tag -> (p, m, (-1)^((p-1)/2), E_{p-3}, q_p(2)) -> (lhs, rhs) in Z/m
-_LEMMAS = {
-    "b3": lambda p, m, sg, E, q: (_inverse_sum(m, (p - 1) // 2, 2, -1), 2 * sg * E),
-    "b4": lambda p, m, sg, E, q: (_b4_lhs(p, m), q * q * pow(2, -1, m) + sg * E),
-    "b5": lambda p, m, sg, E, q: (
-        _inverse_sum(m, (p - 1) // 2, 1, -1),
-        -q + p * q * q * pow(2, -1, m) - p * sg * E,
-    ),
-    "b6": lambda p, m, sg, E, q: (
-        sum(pow(p - 4 * i, -1, m) for i in range(1, p // 4 + 1)),
-        3 * q * pow(4, -1, m) - 3 * p * q * q * pow(8, -1, m),
-    ),
-    "b8": lambda p, m, sg, E, q: (_inverse_sum(m, p // 4, 2), 4 * sg * E),
-    "b9": lambda p, m, sg, E, q: (
-        _inverse_sum(m, p // 4),
-        -3 * q + 3 * p * q * q * pow(2, -1, m) - p * sg * E,
-    ),
-    "b11": lambda p, m, sg, E, q: (_inverse_sum(m, (p - 1) // 2), -2 * q + p * q * q),
-}
-LEMMA_TAGS = tuple(_LEMMAS)
-
-
-def verify_lemma(tag: str, p: int) -> CongruenceResult:
-    """One of the harmonic-sum lemmas b3..b11 at the prime p."""
-    if tag not in _LEMMAS:
-        raise ValueError(f"unknown lemma tag {tag!r}")
-    _require_prime(p)
-    mod = PrimePowerModulus(p, TAG_POWER[tag])
-    q = fermat_quotient(2, p, mod.k).value
-    lhs, rhs = _LEMMAS[tag](p, mod.m, _sign(p), _euler_p3(p), q)
-    return _result(tag, p, None, mod, lhs, rhs)
 
 
 def _central_terms(p: int, m: int, hi: int) -> list[int]:
@@ -278,7 +225,7 @@ def _rearranged_sum(p: int, m: int, lo: int, hi: int) -> int:
     return acc * pow(pow(2, p - 1, m), -1, m) % m  # times 2^(1-p)
 
 
-def _c5(p, k, m, sg, E):
+def _c5(p, k, m, sg, E, q):
     # factorials up to p-1 are all coprime to p, so they invert mod p^2
     fact = [1] * p
     for j in range(1, p):
@@ -298,21 +245,19 @@ def _c5(p, k, m, sg, E):
     ]
 
 
-def _c8(p, k, m, sg, E):
+def _c8(p, k, m, sg, E, q):
     H, _ = _harm_mod(p, k)
-    q = fermat_quotient(2, p, k).value
     lhs = _central_sum(p, m, lambda i: H[2 * i] - H[i])
     return [(None, lhs, -sg * (-q + p * q * q * pow(2, -1, m)) + p * E)]
 
 
-def _c9(p, k, m, sg, E):
+def _c9(p, k, m, sg, E, q):
     H, H2 = _harm_mod(p, k)
-    q = fermat_quotient(2, p, k).value
     lhs = _central_sum(p, m, lambda i: _harm_weight(H, H2, i))
     return [(None, lhs, sg * q * q + 6 * E)]
 
 
-def _d4(p, k, m, sg, E):
+def _d4(p, k, m, sg, E, q):
     H, H2 = _harm_mod(p, k)
     binom = _binomials_mod(p, m)
     inv2 = pow(2, -1, m)
@@ -324,42 +269,96 @@ def _d4(p, k, m, sg, E):
     return out
 
 
-def _d5(p, k, m, sg, E):
+def _d5(p, k, m, sg, E, q):
     H, H2 = _harm_mod(p, k)
     c = p * p * pow(2, -1, m)
     acc = _central_sum(p, m, lambda i: 1 - p * (H[2 * i] - H[i]) + c * _harm_weight(H, H2, i))
     return [(None, _domb_sum_mod(p, m, -2, 2), pow(2, p, m) * p * acc)]
 
 
-# tag -> (p, k, m = p^k, (-1)^((p-1)/2), E_{p-3}) -> [(i or None, lhs, rhs)]
-_PROOF_STEPS = {
-    "c5": _c5,
-    "c8": _c8,
-    "c9": _c9,
-    "c10": lambda p, k, m, sg, E: [(None, _central_sum(p, m, lambda i: 1), sg + p * p * E)],
-    "c11": lambda p, k, m, sg, E: [
-        (None, _rearranged_sum(p, m, 0, (p - 1) // 2), sg * p + 5 * p ** 3 * E)
-    ],
-    "c12": lambda p, k, m, sg, E: [
-        (None, _rearranged_sum(p, m, (p + 1) // 2, p - 1), -4 * p ** 3 * E)
-    ],
-    "d4": _d4,
-    "d5": _d5,
+# The catalog in order, each tag with the power k its claim is stated at and
+# its formula (p, k, m = p^k, sg = (-1)^((p-1)/2), E = E_{p-3} mod p,
+# q = q_p(2) mod p^k) -> the rows [(i or None, lhs, rhs)] inside Z/m, where i
+# is the index of a per-index tag.
+_SWEEP = {
+    "thm1": (4, lambda p, k, m, sg, E, q: [
+        (None, _domb_sum_mod(p, m, -32, 1), sg * p + p ** 3 * E)]),
+    "thm2": (4, lambda p, k, m, sg, E, q: [
+        (None, _domb_sum_mod(p, m, -2, 2), 2 * p * sg + 6 * p ** 3 * E)]),
+    "b3": (1, lambda p, k, m, sg, E, q: [
+        (None, _inverse_sum(m, (p - 1) // 2, 2, -1), 2 * sg * E)]),
+    "b4": (1, lambda p, k, m, sg, E, q: [
+        (None, _b4_lhs(p, m), q * q * pow(2, -1, m) + sg * E)]),
+    "b5": (2, lambda p, k, m, sg, E, q: [(
+        None,
+        _inverse_sum(m, (p - 1) // 2, 1, -1),
+        -q + p * q * q * pow(2, -1, m) - p * sg * E,
+    )]),
+    "b6": (2, lambda p, k, m, sg, E, q: [(
+        None,
+        sum(pow(p - 4 * i, -1, m) for i in range(1, p // 4 + 1)),
+        3 * q * pow(4, -1, m) - 3 * p * q * q * pow(8, -1, m),
+    )]),
+    "b8": (1, lambda p, k, m, sg, E, q: [(None, _inverse_sum(m, p // 4, 2), 4 * sg * E)]),
+    "b9": (2, lambda p, k, m, sg, E, q: [(
+        None,
+        _inverse_sum(m, p // 4),
+        -3 * q + 3 * p * q * q * pow(2, -1, m) - p * sg * E,
+    )]),
+    "b11": (2, lambda p, k, m, sg, E, q: [
+        (None, _inverse_sum(m, (p - 1) // 2), -2 * q + p * q * q)]),
+    "c5": (2, _c5),
+    "c8": (2, _c8),
+    "c9": (1, _c9),
+    "c10": (3, lambda p, k, m, sg, E, q: [
+        (None, _central_sum(p, m, lambda i: 1), sg + p * p * E)]),
+    "c11": (4, lambda p, k, m, sg, E, q: [
+        (None, _rearranged_sum(p, m, 0, (p - 1) // 2), sg * p + 5 * p ** 3 * E)]),
+    "c12": (4, lambda p, k, m, sg, E, q: [
+        (None, _rearranged_sum(p, m, (p + 1) // 2, p - 1), -4 * p ** 3 * E)]),
+    "d4": (4, _d4),
+    "d5": (4, _d5),
 }
-PROOF_STEP_TAGS = tuple(_PROOF_STEPS)
+TAG_POWER = {tag: k for tag, (k, _) in _SWEEP.items()}
+# the paper's lemmas are its b-tags, its proof steps the c- and d-tags
+LEMMA_TAGS = tuple(tag for tag in _SWEEP if tag[0] == "b")
+PROOF_STEP_TAGS = tuple(tag for tag in _SWEEP if tag[0] in "cd")
+
+
+def _verify(tag: str, p: int) -> list[CongruenceResult]:
+    """Every row of the catalog tag at the prime p, compared mod p^k."""
+    _require_prime(p)
+    k, formula = _SWEEP[tag]
+    mod = PrimePowerModulus(p, k)
+    q = fermat_quotient(2, p, k).value
+    rows = formula(p, k, mod.m, _sign(p), _euler_p3(p), q)
+    return [_result(tag, p, i, mod, lhs, rhs) for i, lhs, rhs in rows]
+
+
+def verify_thm1(p: int) -> CongruenceResult:
+    """sum_{k<p} (3k+1) Domb(k)/(-32)^k mod p^4 against its closed form."""
+    return _verify("thm1", p)[0]
+
+
+def verify_thm2(p: int) -> CongruenceResult:
+    """sum_{k<p} (3k+2) Domb(k)/(-2)^k mod p^4 against its closed form."""
+    return _verify("thm2", p)[0]
+
+
+def verify_lemma(tag: str, p: int) -> CongruenceResult:
+    """One of the harmonic-sum lemmas b3..b11 at the prime p."""
+    if tag not in LEMMA_TAGS:
+        raise ValueError(f"unknown lemma tag {tag!r}")
+    return _verify(tag, p)[0]
 
 
 def verify_proof_step(tag: str, p: int) -> list[CongruenceResult]:
     """One of the c5..d5 intermediate steps at the prime p, as a list: one
     result per i in 0..(p-1)/2 for the per-index tags c5 and d4, a single
     result for the others."""
-    if tag not in _PROOF_STEPS:
+    if tag not in PROOF_STEP_TAGS:
         raise ValueError(f"unknown proof step tag {tag!r}")
-    _require_prime(p)
-    k = TAG_POWER[tag]
-    mod = PrimePowerModulus(p, k)
-    rows = _PROOF_STEPS[tag](p, k, mod.m, _sign(p), _euler_p3(p))
-    return [_result(tag, p, i, mod, lhs, rhs) for i, lhs, rhs in rows]
+    return _verify(tag, p)
 
 
 def verify_c12_tail_input(p: int):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dombcheck import cli, congruences, identities
+from dombcheck import __version__, cli, congruences, identities
 from dombcheck.checks import CHECKS
 from dombcheck.cli import build_parser, main
 
@@ -110,6 +110,47 @@ def test_verify_single_tag_report_shape(capsys):
     }
 
 
+THM1_AT_5 = """{
+  "tool_version": "%s",
+  "command": "verify congruences",
+  "params": {
+    "suite": "congruences",
+    "ids": [
+      "thm1"
+    ],
+    "n_max": 100,
+    "prime_lo": 5,
+    "prime_hi": 5,
+    "format": "json"
+  },
+  "results": [
+    {
+      "id": "thm1",
+      "params": {
+        "p": 5
+      },
+      "lhs": "505",
+      "rhs": "505",
+      "modulus": "625",
+      "holds": true
+    }
+  ],
+  "summary": {
+    "total": 1,
+    "passed": 1,
+    "failed": 0
+  }
+}
+""" % __version__
+
+
+def test_verify_report_layout_is_pinned(capsys):
+    # raw text: parsed dicts compare equal whatever their key order
+    code, out, err = run(capsys, "verify", "congruences", "--ids", "thm1", "--prime-hi", "5")
+    assert code == 0 and err == ""
+    assert out == THM1_AT_5
+
+
 def test_verify_per_index_records_carry_i(capsys):
     code, out, _ = run(
         capsys, "verify", "congruences", "--ids", "c5", "--prime-hi", "5"
@@ -204,6 +245,12 @@ def test_verify_csv_shape(capsys):
     assert lines[0] == "suite,id,p_or_n,aux_index,modulus,lhs,rhs,holds"
     assert lines[1].split(",") == ["congruences", "c5", "5", "0", "25", "1", "1", "true"]
     assert len(lines) == 4
+    code, out, _ = run(
+        capsys, "verify", "congruences", "--ids", "c5", "--prime-hi", "5",
+        "--format", "csv", "--inject-failure",
+    )
+    assert code == 1
+    assert "debug,inject,,,,0,1,false" in out.splitlines()
 
 
 # ---------------------------------------------------------------- verify: errors

@@ -13,6 +13,7 @@ from dombcheck.arith import (
     NotPrime,
     PrimePowerModulus,
     Residue,
+    fermat_quotient,
     primes_in_range,
     residue_of_rational,
 )
@@ -30,7 +31,7 @@ from dombcheck.congruences import (
     verify_thm1,
     verify_thm2,
 )
-from dombcheck.sequences import domb, domb_via_ctyz
+from dombcheck.sequences import domb, domb_via_ctyz, euler_number
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
 CONGRUENCE_TAGS = tuple(t for t, c in CHECKS.items() if c.suite == "congruences")
@@ -177,6 +178,33 @@ def test_exact_lhs_against_a_transformed_domb_route():
             Fraction((3 * k + 1) * domb_via_ctyz(k), (-32) ** k) for k in range(p)
         )
         assert direct == exact_lhs("thm1", p)
+
+
+# ---------------------------------------------------------------- sharpness
+
+@pytest.mark.parametrize("tag", CONGRUENCE_TAGS)
+def test_each_claim_is_sharp_and_checked_at_its_full_power(monkeypatch, tag):
+    """At every prime p <= 47: the tag's right side lifted to p^(k+1), with
+    the exact E_{p-3}, misses the exact left side at some (p, i), so p^k is
+    the largest power the claim holds at; and a right side moved by p^(k-1)
+    fails every row, so the check compares at p^k and not below."""
+    k, formula = congruences._SWEEP[tag]
+    primes = primes_in_range(5, 47)
+    misses = 0
+    for p in primes:
+        lift = PrimePowerModulus(p, k + 1)
+        E = euler_number(p - 3) % lift.m
+        q = fermat_quotient(2, p, k + 1).value
+        for i, _, rhs in formula(p, k + 1, lift.m, congruences._sign(p), E, q):
+            misses += residue_of_rational(exact_lhs(tag, p, i), lift) != Residue(rhs, lift)
+    assert misses > 0, f"{tag} holds at p^{k + 1} at every prime <= 47"
+
+    def moved(p, *args):
+        return [(i, lhs, rhs + p ** (k - 1)) for i, lhs, rhs in formula(p, *args)]
+
+    monkeypatch.setitem(congruences._SWEEP, tag, (k, moved))
+    for p in primes:
+        assert not any(holds for *_, holds in CHECKS[tag].evaluate(p)), p
 
 
 # ---------------------------------------------------------------- validation
