@@ -22,13 +22,19 @@ are emitted in a fixed order, and big numbers are decimal strings.  The
 measured wall time is included only when --timing is passed, so that
 otherwise identical invocations produce byte-identical reports regardless
 of --jobs.
+
+Reports are streamed.  The tags run in sorted order and every grid yields
+its params ascending, so each row is written the moment it arrives, with
+no global sort and no row kept; the JSON summary (and wall time) follows
+the last row.  The JSON is emitted by hand in the layout of
+json.dumps(report, indent=2), whose indented mode has no C encoder.  A run
+that dies part-way leaves a truncated report behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -43,6 +49,7 @@ from .sequences import (
     ccl_partial,
     domb,
     euler_number,
+    euler_numbers,
     franel,
     rogers_partial,
 )
@@ -53,26 +60,25 @@ SERIES_MAX_K = 10000
 # ---------------------------------------------------------------- tasks
 
 def _tasks(tags, n_max, primes) -> list[tuple]:
-    """Flat (tag, *args) tasks, tag by tag in catalog order."""
+    """Flat (tag, *args) tasks, tag by tag in the order given."""
     return [(tag, *args) for tag in tags for args in CHECKS[tag].grid(n_max, primes)]
 
 
-def _run_task(task) -> list[dict]:
-    """The report records of one task, keyed in the JSON report's order;
+def _run_task(task) -> list[tuple]:
+    """The report rows (id, params, lhs, rhs, modulus, holds) of one task;
     str() prints an int, a Fraction (n or n/d) and a str as the report has them."""
+    tag = task[0]
     return [
-        {"id": task[0], "params": params, "lhs": str(lhs), "rhs": str(rhs),
-         "modulus": modulus, "holds": bool(holds)}
-        for params, lhs, rhs, modulus, holds in CHECKS[task[0]].evaluate(*task[1:])
+        (tag, params, str(lhs), str(rhs), modulus, bool(holds))
+        for params, lhs, rhs, modulus, holds in CHECKS[tag].evaluate(*task[1:])
     ]
 
 
-def _run_all(tasks, jobs) -> list[dict]:
+def _run_all(tasks, jobs):
+    """Each task's rows, one list per task, in task order."""
     if jobs <= 1 or len(tasks) <= 1:
-        out = []
-        for t in tasks:
-            out.extend(_run_task(t))
-        return out
+        yield from map(_run_task, tasks)
+        return
     import concurrent.futures as cf
     import multiprocessing as mp
 
@@ -80,52 +86,85 @@ def _run_all(tasks, jobs) -> list[dict]:
         ctx = mp.get_context("fork")
     except ValueError:
         ctx = mp.get_context()
-    out = []
     with cf.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
         chunk = max(1, len(tasks) // (jobs * 8))
-        for recs in ex.map(_run_task, tasks, chunksize=chunk):
-            out.extend(recs)
-    return out
+        yield from ex.map(_run_task, tasks, chunksize=chunk)
 
 
 # ---------------------------------------------------------------- report
 
-def _sort_key(rec):
-    return rec["id"], tuple(rec["params"].values())
+_INJECTED = ("inject", {}, "0", "1", "", False)
+_CSV_HEADER = ["suite", "id", "p_or_n", "aux_index", "modulus", "lhs", "rhs", "holds"]
+_q = json.encoder.encode_basestring_ascii  # a str as json.dumps quotes it
 
 
-def _json_report(command, params, records, wall_ms) -> str:
-    failed = sum(1 for r in records if not r["holds"])
-    report = {
-        "tool_version": __version__,
-        "command": command,
-        "params": params,
-        "results": records,
-        "summary": {
-            "total": len(records),
-            "passed": len(records) - failed,
-            "failed": failed,
-        },
-    }
-    if wall_ms is not None:
-        report["wall_time_ms"] = wall_ms
-    return json.dumps(report, indent=2) + "\n"
+def _slot_in(batches, row):
+    """The batches, with [row] before the first batch whose id sorts after row's."""
+    for batch in batches:
+        if row and batch and batch[0][0] > row[0]:
+            yield [row]
+            row = None
+        yield batch
+    if row:
+        yield [row]
 
 
-def _csv_report(records) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["suite", "id", "p_or_n", "aux_index", "modulus", "lhs", "rhs", "holds"])
-    for r in records:
-        check = CHECKS.get(r["id"])  # None for the injected debug record
-        vals = list(r["params"].values())
-        p_or_n = vals[0] if vals else ""
-        aux = vals[1] if len(vals) > 1 else ""
-        w.writerow(
-            [check.suite if check else "debug", r["id"], p_or_n, aux, r["modulus"],
-             r["lhs"], r["rhs"], "true" if r["holds"] else "false"]
-        )
-    return buf.getvalue()
+def _json_row(tag, params, lhs, rhs, modulus, holds) -> str:
+    """One entry of "results", laid out as json.dumps(report, indent=2) has it."""
+    if params:
+        inner = ",\n        ".join(f"{_q(k)}: {v}" for k, v in params.items())
+        params = f"{{\n        {inner}\n      }}"
+    else:
+        params = "{}"
+    return (
+        f'    {{\n      "id": {_q(tag)},\n      "params": {params},\n'
+        f'      "lhs": {_q(lhs)},\n      "rhs": {_q(rhs)},\n      "modulus": {_q(modulus)},\n'
+        f'      "holds": {"true" if holds else "false"}\n    }}'
+    )
+
+
+def _csv_row(tag, params, lhs, rhs, modulus, holds) -> list:
+    vals = list(params.values())
+    return [CHECKS[tag].suite if tag in CHECKS else "debug", tag,
+            vals[0] if vals else "", vals[1] if len(vals) > 1 else "",
+            modulus, lhs, rhs, "true" if holds else "false"]
+
+
+def _write_report(out, fmt, head, batches, t0) -> int:
+    """Write each row as it arrives, then (JSON) the summary and, when t0 is
+    set, the wall time since t0; FALSIFIED lines go to stderr.  Rows must
+    come sorted by (id, *params), which the tags in sorted order and each
+    grid's ascending params give; RuntimeError otherwise.  Returns the number
+    of failed rows."""
+    if fmt == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(_CSV_HEADER)
+    else:
+        out.write(json.dumps(head, indent=2)[:-2] + ',\n  "results": [')
+    total = failed = 0
+    last = ()
+    for batch in batches:
+        for row in batch:
+            tag, params, lhs, rhs, modulus, holds = row
+            key = (tag, *params.values())
+            if key <= last:
+                raise RuntimeError(f"report rows out of order: {key} after {last}")
+            last = key
+            if fmt == "csv":
+                w.writerow(_csv_row(*row))
+            else:
+                out.write((",\n" if total else "\n") + _json_row(*row))
+            total += 1
+            if not holds:
+                failed += 1
+                print(f"FALSIFIED {tag} {params} lhs={lhs} rhs={rhs}{_rerun(tag, params)}",
+                      file=sys.stderr)
+    if fmt != "csv":
+        tail = {"summary": {"total": total, "passed": total - failed, "failed": failed}}
+        if t0 is not None:
+            tail["wall_time_ms"] = int((time.monotonic() - t0) * 1000)
+        out.write(("\n  ]," if total else "],") + json.dumps(tail, indent=2)[1:] + "\n")
+    return failed
 
 
 # ---------------------------------------------------------------- commands
@@ -139,9 +178,12 @@ def cmd_compute(args) -> int:
     if args.n_max < 0:
         print("--n-max must be >= 0", file=sys.stderr)
         return 2
-    fn = table[args.sequence]
-    for i in range(args.n_max + 1):
-        print(f"{i} {fn(i)}")
+    if args.sequence == "euler":  # one pass, not one recurrence per index
+        values = euler_numbers(args.n_max)
+    else:
+        values = map(table[args.sequence], range(args.n_max + 1))
+    for i, value in enumerate(values):
+        print(f"{i} {value}")
     return 0
 
 
@@ -179,14 +221,14 @@ def _resolve_ids(suite, requested) -> list[str]:
     return [tag for tag in known if tag in wanted]
 
 
-def _rerun(rec) -> str:
-    """The command that re-runs the check behind one record: its suite and
-    tag, with the range cut down to the record's first param."""
-    if rec["id"] not in CHECKS:
+def _rerun(tag, params) -> str:
+    """The command that re-runs the check behind one row: its suite and
+    tag, with the range cut down to the row's first param."""
+    if tag not in CHECKS:
         return ""
-    name, value = next(iter(rec["params"].items()))
+    name, value = next(iter(params.items()))
     bounds = f"--prime-lo {value} --prime-hi {value}" if name == "p" else f"--n-max {value}"
-    return f" rerun: dombcheck verify {CHECKS[rec['id']].suite} --ids {rec['id']} {bounds}"
+    return f" rerun: dombcheck verify {CHECKS[tag].suite} --ids {tag} {bounds}"
 
 
 def cmd_verify(args) -> int:
@@ -200,42 +242,34 @@ def cmd_verify(args) -> int:
         print("need --n-max >= 0 and 5 <= --prime-lo <= --prime-hi", file=sys.stderr)
         return 2
 
-    tasks = _tasks(ids, args.n_max, primes_in_range(args.prime_lo, args.prime_hi))
+    tasks = _tasks(sorted(ids), args.n_max, primes_in_range(args.prime_lo, args.prime_hi))
     selected = {task[0] for task in tasks}
     starved = [tag for tag in ids if tag not in selected]
     if starved:
         print(f"nothing to check in this range for: {', '.join(starved)}", file=sys.stderr)
         return 2
-    records = _run_all(tasks, args.jobs)
+    batches = _run_all(tasks, args.jobs)
     if args.inject_failure:
-        records.append({"id": "inject", "params": {}, "lhs": "0", "rhs": "1",
-                        "modulus": "", "holds": False})
-    records.sort(key=_sort_key)
+        batches = _slot_in(batches, _INJECTED)
 
-    failed = [r for r in records if not r["holds"]]
-    for r in failed:
-        print(f"FALSIFIED {r['id']} {r['params']} lhs={r['lhs']} rhs={r['rhs']}{_rerun(r)}",
-              file=sys.stderr)
-
-    params = {
-        "suite": args.suite,
-        "ids": ids,
-        "n_max": args.n_max,
-        "prime_lo": args.prime_lo,
-        "prime_hi": args.prime_hi,
-        "format": args.format,
+    head = {
+        "tool_version": __version__,
+        "command": f"verify {args.suite}",
+        "params": {
+            "suite": args.suite,
+            "ids": ids,
+            "n_max": args.n_max,
+            "prime_lo": args.prime_lo,
+            "prime_hi": args.prime_hi,
+            "format": args.format,
+        },
     }
-    wall_ms = int((time.monotonic() - t0) * 1000) if args.timing else None
-    if args.format == "csv":
-        text = _csv_report(records)
-    else:
-        text = _json_report(f"verify {args.suite}", params, records, wall_ms)
-
+    t_wall = t0 if args.timing else None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "w") as out:
+            failed = _write_report(out, args.format, head, batches, t_wall)
     else:
-        sys.stdout.write(text)
+        failed = _write_report(sys.stdout, args.format, head, batches, t_wall)
     return 1 if failed else 0
 
 

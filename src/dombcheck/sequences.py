@@ -5,7 +5,11 @@ of Chan, Chan & Liu (Adv. Math. 186, 2004)
 
     n^3 D(n) = 2(2n-1)(5n^2-5n+2) D(n-1) - 64 (n-1)^3 D(n-2),
 
-seeded with D(0) = 1 and D(1) = 4.  The defining sum
+seeded with D(0) = 1 and D(1) = 4, and the Franel table by Franel's
+
+    (n+1)^2 f(n+1) = (7n^2+7n+2) f(n) + 8n^2 f(n-1),
+
+seeded with f(0) = 1 and f(1) = 2.  The defining sum
 
     Domb(n) = sum_{k=0}^{n} C(n,k)^2 C(2k,k) C(2n-2k,n-k)
 
@@ -159,20 +163,18 @@ def domb_by_definition(n: int) -> int:
 
 def _franel_step(vals):
     n = len(vals)
-    b = 1
-    total = 0
-    for k in range(n + 1):
-        total += b ** 3
-        if k < n:
-            b = _exact_div(b * (n - k), k + 1)
-    return total
+    if n < 2:
+        return (1, 2)[n]
+    m = n - 1  # n^2 f(n) = (7m^2 + 7m + 2) f(m) + 8 m^2 f(m-1)
+    return _exact_div((7 * m * m + 7 * m + 2) * vals[m] + 8 * m * m * vals[m - 1], n * n)
 
 
 _franel_table = SequenceTable("franel", _franel_step)
 
 
 def franel(n: int) -> int:
-    """The n-th Franel number, sum_k C(n,k)^3."""
+    """The n-th Franel number, sum_k C(n,k)^3, read from the table that
+    Franel's recurrence fills."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _franel_table[n]
@@ -227,22 +229,22 @@ def domb_via_ctyz(n: int) -> int:
 
 
 def euler_number(n: int) -> int:
-    """The n-th Euler number (secant-number convention: E_0 = 1, odd ones 0).
-
-    Even indices come from the recurrence sum_{j=0}^{m} C(2m,2j) E_{2j} = 0.
-    """
+    """The n-th Euler number (secant-number convention: E_0 = 1, odd ones 0)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n % 2 == 1:
-        return 0
-    e = [0] * (n + 1)
+    return euler_numbers(n)[n] if n % 2 == 0 else 0
+
+
+def euler_numbers(n_max: int) -> list[int]:
+    """E_0, ..., E_{n_max} in one pass; even indices come from the
+    recurrence sum_{j=0}^{m} C(2m,2j) E_{2j} = 0."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    e = [0] * (n_max + 1)
     e[0] = 1
-    for m in range(1, n // 2 + 1):
-        acc = 0
-        for j in range(m):
-            acc += math.comb(2 * m, 2 * j) * e[2 * j]
-        e[2 * m] = -acc
-    return e[n]
+    for m in range(1, n_max // 2 + 1):
+        e[2 * m] = -sum(math.comb(2 * m, 2 * j) * e[2 * j] for j in range(m))
+    return e
 
 
 def euler_number_mod(n: int, p: int) -> Residue:

@@ -1,15 +1,24 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import csv
 import dataclasses
+import io
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dombcheck
 from dombcheck import __version__, cli, congruences, identities
 from dombcheck.checks import CHECKS
 from dombcheck.cli import build_parser, main
+from dombcheck.sequences import euler_number
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -34,6 +43,12 @@ def test_compute_euler_includes_odd_zeros(capsys):
     assert code == 0
     assert lines[1] == "1 0"
     assert lines[10] == "10 -50521"
+
+
+def test_compute_euler_prints_the_euler_numbers(capsys):
+    code, out, _ = run(capsys, "compute", "euler", "--n-max", "60")
+    assert code == 0
+    assert out.splitlines() == [f"{i} {euler_number(i)}" for i in range(61)]
 
 
 def test_compute_unknown_sequence(capsys):
@@ -321,10 +336,10 @@ def test_spawned_workers_give_the_serial_records(monkeypatch):
     # spawned workers import the package afresh, so every inner-sum prefix
     # starts empty in them; criterion 10 runs the pool under fork only
     tasks = cli._tasks([t for t, c in CHECKS.items() if c.suite == "identities"], 30, [])
-    serial = cli._run_all(tasks, 1)
+    serial = list(cli._run_all(tasks, 1))
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
-    assert cli._run_all(tasks, 2) == serial
+    assert list(cli._run_all(tasks, 2)) == serial
 
 
 def test_records_come_out_sorted(capsys):
@@ -341,6 +356,82 @@ def test_out_flag_writes_the_report_to_a_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["summary"]["failed"] == 0
+    _, out, _ = run(capsys, *SMALL_RUN)
+    assert target.read_text() == out
+
+
+# ---------------------------------------------------------------- streamed report
+
+FRACTION_RUN = ("verify", "identities", "--ids", "e1,c3", "--n-max", "7")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SMALL_RUN, (*SMALL_RUN, "--jobs", "2"), (*SMALL_RUN, "--inject-failure"),
+     (*SMALL_RUN, "--timing"), FRACTION_RUN],
+    ids=["plain", "jobs2", "inject", "timing", "fraction_lhs"],
+)
+def test_streamed_json_is_laid_out_as_json_dumps(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == (1 if "--inject-failure" in argv else 0)
+    # the hand-written emitter must give json.dumps's own bytes
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    report = json.loads(out)
+    assert list(report)[-2:] == (
+        ["summary", "wall_time_ms"] if "--timing" in argv else ["results", "summary"]
+    )
+    if argv == FRACTION_RUN:
+        assert any("/" in r["lhs"] for r in report["results"])
+
+
+def test_injected_record_sits_at_its_sorted_place(capsys):
+    _, out, _ = run(capsys, *SMALL_RUN, "--inject-failure")
+    ids = [r["id"] for r in json.loads(out)["results"]]
+    assert ids == sorted(ids)
+    at = ids.index("inject")
+    assert ids[at - 1] == "cz" and ids[at + 1] == "thm3_minus"
+    assert json.loads(out)["results"][at]["params"] == {}
+    assert '"params": {},' in out
+
+
+def test_csv_rows_match_the_json_records(capsys):
+    _, out, _ = run(capsys, *SMALL_RUN, "--inject-failure")
+    records = json.loads(out)["results"]
+    _, text, _ = run(capsys, *SMALL_RUN, "--inject-failure", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text
+
+    def flat(r):
+        p_or_n, aux, *_ = [str(v) for v in r["params"].values()] + ["", ""]
+        return [r["id"], p_or_n, aux, r["modulus"], r["lhs"], r["rhs"],
+                "true" if r["holds"] else "false"]
+
+    assert [row[1:] for row in rows[1:]] == [flat(r) for r in records]
+
+
+def test_rows_out_of_order_are_refused(capsys, monkeypatch):
+    descending = dataclasses.replace(
+        CHECKS["cz"], grid=lambda n_max, primes: ((n,) for n in range(n_max, -1, -1))
+    )
+    monkeypatch.setitem(CHECKS, "cz", descending)
+    with pytest.raises(RuntimeError, match="out of order"):
+        main(["verify", "identities", "--ids", "cz", "--n-max", "3"])
+    capsys.readouterr()
+
+
+def test_traced_benchmark_run_still_works(tmp_path):
+    # perfbench/tracer.py wraps cli.main and cli._run_all by name
+    env = dict(os.environ, PYTHONPATH=str(Path(dombcheck.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(tmp_path),
+         "verify", "all", "--ids", "cz,thm1", "--n-max", "5", "--prime-hi", "11"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failed"] == 0
+    assert list(tmp_path.glob("spans.*.marshal"))
 
 
 # ---------------------------------------------------------------- plumbing

@@ -171,6 +171,23 @@ def test_franel_matches_cube_sum(n):
     assert franel(n) == sum(math.comb(n, k) ** 3 for k in range(n + 1))
 
 
+def test_franel_recurrence_matches_cube_sum_to_300():
+    assert [franel(n) for n in range(301)] == [
+        sum(math.comb(n, k) ** 3 for k in range(n + 1)) for n in range(301)
+    ]
+
+
+def test_franel_step_rejects_a_corrupted_prefix_under_optimized_mode():
+    code = "from dombcheck.sequences import _franel_step; _franel_step([1, 2, 11])"
+    src = os.path.dirname(os.path.dirname(dombcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError: inexact division" in proc.stderr
+
+
 @given(st.integers(min_value=1, max_value=200))
 def test_franel_is_even_past_zero(n):
     assert franel(n) % 2 == 0
