@@ -29,6 +29,15 @@ no global sort and no row kept; the JSON summary (and wall time) follows
 the last row.  The JSON is emitted by hand in the layout of
 json.dumps(report, indent=2), whose indented mode has no C encoder.  A run
 that dies part-way leaves a truncated report behind.
+
+With --jobs J > 1 the tasks go to J forked worker processes in
+consecutive chunks, one pool message each, and come back in task order.
+A chunk holds len(tasks) // (8 J) tasks, or fewer once the rows it will
+return would pass ROW_CAP: a per-index congruence tag (c5, d4) returns
+(p+1)/2 rows at the prime p, every other task one.  So a worker never
+pickles a whole tag's rows at once, and a task list of default size is cut
+exactly by the task count.  Each worker ends itself once the CLI process
+is gone, also when that was killed by a signal it cannot catch.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import time
 from . import __version__
 from .arith import primes_in_range
 from .checks import CHECKS, SUITES
+from .congruences import PER_INDEX_TAGS
 from .sequences import (
     CCL_LIMIT,
     ROGERS_LIMIT,
@@ -74,6 +84,55 @@ def _run_task(task) -> list[tuple]:
     ]
 
 
+# a pool chunk returns at most this many rows (unless one task alone returns
+# more), so no worker builds and pickles one huge list: c5 alone has ~2.9M
+# rows to p = 10^4.  Every chunk of a default-size task list stays below it.
+ROW_CAP = 10_000
+
+
+def _task_rows(task) -> int:
+    """The number of rows a task returns: (p+1)/2 for a per-index
+    congruence tag at the prime p, one for any other task."""
+    return (task[1] + 1) // 2 if task[0] in PER_INDEX_TAGS else 1
+
+
+def _chunks(tasks, jobs):
+    """The tasks cut into consecutive chunks, one pool message each:
+    len(tasks) // (jobs * 8) tasks, or fewer where one more task would take
+    the chunk's rows past ROW_CAP."""
+    size = max(1, len(tasks) // (jobs * 8))
+    chunk, rows = [], 0
+    for task in tasks:
+        n = _task_rows(task)
+        if chunk and (len(chunk) == size or rows + n > ROW_CAP):
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(task)
+        rows += n
+    if chunk:
+        yield chunk
+
+
+def _run_chunk(chunk) -> list[list[tuple]]:
+    return [_run_task(task) for task in chunk]
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: a daemon thread ends this worker once the
+    process that started it is gone, however it died (a SIGKILL or a
+    SIGTERM leaves no chance to shut the pool down), instead of leaving it
+    blocked on the task queue for good."""
+    import os
+    import threading
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _run_all(tasks, jobs):
     """Each task's rows, one list per task, in task order."""
     if jobs <= 1 or len(tasks) <= 1:
@@ -81,14 +140,17 @@ def _run_all(tasks, jobs):
         return
     import concurrent.futures as cf
     import multiprocessing as mp
+    import os
 
     try:
         ctx = mp.get_context("fork")
     except ValueError:
         ctx = mp.get_context()
-    with cf.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        yield from ex.map(_run_task, tasks, chunksize=chunk)
+    with cf.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                                initializer=_exit_with_parent,
+                                initargs=(os.getpid(),)) as ex:
+        for rows in ex.map(_run_chunk, _chunks(tasks, jobs)):
+            yield from rows
 
 
 # ---------------------------------------------------------------- report

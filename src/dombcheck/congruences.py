@@ -9,16 +9,21 @@ same left sides computed exactly.
 
 The production (sweep) route works inside Z/p^k throughout: powers such as
 2^(1-p) or (-32)^(-k) are modular exponentials and inverses, never
-rationals; harmonic sums and the central terms 16^-i C(2i,i)^2 are updated
-in-ring term by term; Domb(k) for k < p comes from the Domb recurrence run
-inside Z/p^4 (thm1, thm2, d5); and C(3i,i), C(p+2i,3i), C(p+i,3i) come
-from one table of p-adic unit factorials up to 3p and the valuation
-v_p(n!) = floor(n/p) (c11, c12, d4).  A batch of units is inverted with
-one pow.  `exact_lhs` provides the deliberately separate small-p oracle
-route, which forms the exact Fraction from the big-int Domb table and
-math.comb and reduces it at the end; the two must agree and the test suite
-checks that they do, and checks the table binomials against math.comb and
-the in-ring Domb sums against the big-int table to p <= 499.
+rationals; harmonic sums are updated in-ring term by term, and the
+central terms 16^-i C(2i,i)^2 come from running products of the odd and
+the even factors; Domb(k) for k < p comes from the Domb recurrence run
+inside Z/p^4; and C(3i,i), C(p+2i,3i), C(p+i,3i) come from one table of
+p-adic unit factorials up to 3p and the valuation v_p(n!) = floor(n/p)
+(c11, c12, d4).  A batch of units is inverted with one pow.  The Domb
+residues feed two sums, thm1's and thm2's left sides (thm2's is also
+d5's); both come from one residue list and are memoized per prime in
+`_domb_sums`, as E_{p-3} is in `_euler_p3`, so the three tags build one
+list per prime, not one each.  `exact_lhs` provides the deliberately
+separate small-p oracle route, which forms the exact Fraction from the
+big-int Domb table and math.comb and reduces it at the end; the two must
+agree and the test suite checks that they do, and checks the table
+binomials against math.comb and the in-ring Domb sums against the big-int
+table to p <= 499.
 
 The claims, with the power k of the modulus p^k:
 
@@ -149,15 +154,24 @@ def _domb_residues(p: int, m: int) -> list[int]:
     return D
 
 
-def _domb_sum_mod(p: int, m: int, base: int, coeff_shift: int) -> int:
-    """sum_{k<p} (3k + coeff_shift) Domb(k) base^(-k) inside Z/m, by Horner
-    in base^-1 from the top term down."""
+def _domb_sum_mod(D: list[int], m: int, base: int, coeff_shift: int) -> int:
+    """sum_k (3k + coeff_shift) D[k] base^(-k) inside Z/m over the Domb
+    residues D, by Horner in base^-1 from the top term down."""
     inv_base = pow(base, -1, m)
-    D = _domb_residues(p, m)
     acc = 0
-    for k in range(p - 1, -1, -1):
+    for k in range(len(D) - 1, -1, -1):
         acc = (acc * inv_base + (3 * k + coeff_shift) * D[k]) % m
     return acc
+
+
+@lru_cache(maxsize=None)
+def _domb_sums(p: int, m: int) -> tuple[int, int]:
+    """The two Domb sums over k < p inside Z/m, from one list of residues:
+    thm1's sum (3k+1) Domb(k)/(-32)^k and thm2's sum (3k+2) Domb(k)/(-2)^k,
+    which is also d5's left side.  Whichever of the three tags runs first
+    at p fills the entry; it keeps two ints."""
+    D = _domb_residues(p, m)
+    return _domb_sum_mod(D, m, -32, 1), _domb_sum_mod(D, m, -2, 2)
 
 
 def _inverse_sum(m: int, n: int, r: int = 1, sign: int = 1) -> int:
@@ -176,11 +190,21 @@ def _b4_lhs(p: int, m: int) -> int:
 
 
 def _central_terms(p: int, m: int, hi: int) -> list[int]:
-    """16^-i C(2i,i)^2 mod m for 0 <= i <= hi <= p-1, each from the one
-    before by the factor ((2i-1) / 2i)^2, in-ring: 2i is a unit since i < p."""
+    """16^-i C(2i,i)^2 mod m for 0 <= i <= hi <= p-1, as c_i^2 with
+    c_i = (2i-1)!!/(2i)!!: running products of the odd and the even factors,
+    one inverse of the last even product, and a walk back down that
+    multiplies it by 2i per step (2i is a unit since i < p)."""
     terms = [1]
-    for i in range(1, hi + 1):
-        terms.append(terms[-1] * (2 * i - 1) ** 2 % m * pow(2 * i, -2, m) % m)
+    odd = even = 1
+    for j in range(2, 2 * hi + 1, 2):
+        odd = odd * (j - 1) % m
+        terms.append(odd)
+        even = even * j % m
+    inv = pow(even, -1, m)
+    for i in range(hi, 0, -1):
+        c = terms[i] * inv % m
+        terms[i] = c * c % m
+        inv = inv * (2 * i) % m
     return terms
 
 
@@ -273,7 +297,7 @@ def _d5(p, k, m, sg, E, q):
     H, H2 = _harm_mod(p, k)
     c = p * p * pow(2, -1, m)
     acc = _central_sum(p, m, lambda i: 1 - p * (H[2 * i] - H[i]) + c * _harm_weight(H, H2, i))
-    return [(None, _domb_sum_mod(p, m, -2, 2), pow(2, p, m) * p * acc)]
+    return [(None, _domb_sums(p, m)[1], pow(2, p, m) * p * acc)]
 
 
 # The catalog in order, each tag with the power k its claim is stated at and
@@ -282,9 +306,9 @@ def _d5(p, k, m, sg, E, q):
 # is the index of a per-index tag.
 _SWEEP = {
     "thm1": (4, lambda p, k, m, sg, E, q: [
-        (None, _domb_sum_mod(p, m, -32, 1), sg * p + p ** 3 * E)]),
+        (None, _domb_sums(p, m)[0], sg * p + p ** 3 * E)]),
     "thm2": (4, lambda p, k, m, sg, E, q: [
-        (None, _domb_sum_mod(p, m, -2, 2), 2 * p * sg + 6 * p ** 3 * E)]),
+        (None, _domb_sums(p, m)[1], 2 * p * sg + 6 * p ** 3 * E)]),
     "b3": (1, lambda p, k, m, sg, E, q: [
         (None, _inverse_sum(m, (p - 1) // 2, 2, -1), 2 * sg * E)]),
     "b4": (1, lambda p, k, m, sg, E, q: [

@@ -34,7 +34,7 @@ The congruence checks use the secant route; the Pascal route is its oracle.
 from __future__ import annotations
 
 import math
-import threading
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -53,29 +53,25 @@ def binomial(n: int, k: int) -> int:
 class SequenceTable:
     """A memoized sequence prefix.
 
-    Extension appends only; existing entries are never mutated.  A lock
-    confines extension to one writer at a time, so concurrent readers of
-    already-filled indices are safe.
+    Extension appends only; existing entries are never mutated.  A table
+    belongs to the one thread of its process: `--jobs` runs its workers as
+    processes, each with its own tables.
     """
 
     def __init__(self, sid: str, step):
         self.id = sid
         self._vals: list[int] = []
-        self._lock = threading.Lock()
         self._step = step
 
     def __getitem__(self, i: int) -> int:
         if i < 0:
             raise IndexError(f"negative index {i}")
-        if i >= len(self._vals):
-            with self._lock:
-                while len(self._vals) <= i:
-                    self._vals.append(self._step(self._vals))
+        while len(self._vals) <= i:
+            self._vals.append(self._step(self._vals))
         return self._vals[i]
 
 
-# Running sums: key -> (n, acc), only the latest value.  Entries are replaced
-# whole, never mutated, so a reader sees a consistent pair without a lock.
+# Running sums: key -> (n, acc), only the latest value.
 _cursors: dict[tuple, tuple[int, int]] = {}
 
 
@@ -276,6 +272,44 @@ def euler_number_mod(n: int, p: int) -> Residue:
     return Residue(e[n], mod)
 
 
+# the position of byte j of a native 8-byte word, least significant first
+_WORD_BYTE = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+
+
+def _slot_width(terms: int, p: int) -> int:
+    """Bytes per slot for a product of series over Z/p in which no output
+    coefficient sums more than `terms` products of two residues; never
+    narrower than one residue."""
+    return (max(terms, 1) * (p - 1) ** 2).bit_length() // 8 + 1
+
+
+def _pack(c: list[int], width: int) -> int:
+    """The residues c as one int, a width-byte slot per coefficient, lowest
+    first.  Up to 8 bytes, the slots are cut from one array of native words
+    by one strided copy per byte position instead of one to_bytes each."""
+    if width > 8:
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
+    from array import array
+
+    words = array("Q", c).tobytes()
+    out = bytearray(width * len(c))
+    for j, at in enumerate(_WORD_BYTE[:width]):
+        out[j::width] = words[at::8]
+    return int.from_bytes(out, "little")
+
+
+def _slots(x: int, width: int, n: int) -> list[int]:
+    """The first n width-byte slots of x, the inverse of _pack; up to 8
+    bytes, spread into native words and read back as one memoryview."""
+    raw = x.to_bytes(max(width * n, (x.bit_length() + 7) // 8), "little")
+    if width > 8:
+        return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n)]
+    words = bytearray(8 * n)
+    for j, at in enumerate(_WORD_BYTE[:width]):
+        words[at::8] = raw[j:width * n:width]
+    return memoryview(words).cast("Q").tolist()
+
+
 def _series_mul(a: list[int], b: list[int], p: int, n: int) -> list[int]:
     """The first n coefficients of the product a*b over Z/p, by Kronecker
     substitution: each factor is packed into one int with a fixed-width
@@ -283,22 +317,20 @@ def _series_mul(a: list[int], b: list[int], p: int, n: int) -> list[int]:
     are read back.  A slot is wide enough for any coefficient of the
     integer product, so no carry crosses into the next one."""
     a, b = a[:n], b[:n]
-    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1
-
-    def pack(c):
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
-
-    raw = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b)), "little")
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") % p for i in range(n)]
+    width = _slot_width(min(len(a), len(b)), p)
+    return [c % p for c in _slots(_pack(a, width) * _pack(b, width), width, n)]
 
 
 def _newton_step(f: list[int], g: list[int], p: int, n: int) -> list[int]:
     """g (2 - f g) mod y^n over Z/p, for g = 1/f mod y^k and k < n <= 2k: the
     inverse to precision n.  With f g = 1 + y^k e, this is g - y^k g e, so
-    only the top n - k coefficients are new."""
+    only the top n - k coefficients are new.  Both products sum at most k
+    terms per coefficient, so g is packed once, in one slot width, for both."""
     k = len(g)
-    e = _series_mul(f, g, p, n)[k:]
-    return g + [-c % p for c in _series_mul(g, e, p, n - k)]
+    width = _slot_width(k, p)
+    packed_g = _pack(g, width)
+    e = [c % p for c in _slots(_pack(f[:n], width) * packed_g, width, n)[k:]]
+    return g + [-c % p for c in _slots(packed_g * _pack(e, width), width, n - k)]
 
 
 def _series_inverse_mod(f: list[int], p: int) -> list[int]:

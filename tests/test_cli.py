@@ -6,14 +6,17 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import dombcheck
 from dombcheck import __version__, cli, congruences, identities
+from dombcheck.arith import primes_in_range
 from dombcheck.checks import CHECKS
 from dombcheck.cli import build_parser, main
 from dombcheck.sequences import euler_number
@@ -340,6 +343,90 @@ def test_spawned_workers_give_the_serial_records(monkeypatch):
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
     assert list(cli._run_all(tasks, 2)) == serial
+
+
+# ---------------------------------------------------------------- pool chunks
+
+def verify_tasks(*argv):
+    """The task list that `dombcheck verify ARGV` builds, without running it."""
+    args = build_parser().parse_args(["verify", *argv])
+    ids = cli._resolve_ids(args.suite, args.ids)
+    return cli._tasks(sorted(ids), args.n_max, primes_in_range(args.prime_lo, args.prime_hi))
+
+
+def test_task_rows_are_the_rows_a_task_returns():
+    for task in verify_tasks("all", "--n-max", "6", "--prime-hi", "41"):
+        assert cli._task_rows(task) == len(cli._run_task(task)), task
+
+
+def test_chunks_to_10007_keep_the_task_order_and_the_row_cap():
+    tasks = verify_tasks("congruences", "--prime-hi", "10007")
+    chunks = list(cli._chunks(tasks, 2))
+    assert [task for chunk in chunks for task in chunk] == tasks
+    assert max(sum(map(cli._task_rows, chunk)) for chunk in chunks) <= cli.ROW_CAP
+    # by task count alone, c5's ~2.9M rows would leave as one or two messages
+    assert sum(chunk[0][0] == "c5" for chunk in chunks) > 250
+
+
+@pytest.mark.parametrize("argv", [("all",), ("all", "--n-max", "200"),
+                                  ("congruences", "--prime-hi", "499")])
+def test_default_size_task_lists_are_cut_by_task_count_alone(argv):
+    tasks = verify_tasks(*argv)
+    size = len(tasks) // 16
+    want = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    assert list(cli._chunks(tasks, 2)) == want
+
+
+def test_row_capped_chunks_give_the_serial_report(capsys):
+    argv = ("verify", "congruences", "--ids", "c5,d4", "--prime-lo", "9973",
+            "--prime-hi", "10007")
+    code1, serial, _ = run(capsys, *argv, "--jobs", "1")
+    code2, parallel, _ = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert serial == parallel
+    assert json.loads(serial)["summary"]["total"] == 2 * (4987 + 5004)
+
+
+def running(pid: str) -> bool:
+    """Whether the process exists and is neither a zombie nor dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_pool_workers_exit_when_the_cli_is_killed(sig):
+    env = dict(os.environ, PYTHONPATH=str(Path(dombcheck.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dombcheck.cli", "verify", "all", "--jobs", "2",
+         "--n-max", "200", "--out", os.devnull],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if not children.exists():
+                pytest.skip("no /proc/<pid>/task/<pid>/children here")
+            workers = children.read_text().split()
+        assert len(workers) == 2, "the pool never started"
+        proc.send_signal(sig)
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [w for w in workers if running(w)]
+    finally:
+        proc.kill()
+        proc.wait()
+        for w in workers:
+            if running(w):
+                os.kill(int(w), signal.SIGKILL)
 
 
 def test_records_come_out_sorted(capsys):

@@ -42,6 +42,16 @@ def ring_results(tag, p):
     return CHECKS[tag].verify(p)
 
 
+@pytest.fixture(autouse=True)
+def fresh_domb_memo():
+    """Start and leave every test with the per-prime Domb-sum memo empty, so
+    a mutated ingredient reaches the tags and no test reads entries that a
+    mutant wrote."""
+    congruences._domb_sums.cache_clear()
+    yield
+    congruences._domb_sums.cache_clear()
+
+
 # ---------------------------------------------------------------- catalog
 
 def test_tag_catalog_is_closed_and_powers_are_as_stated():
@@ -344,3 +354,45 @@ def test_registry_catches_each_mutated_ingredient(monkeypatch, name):
         and not all(holds for p in primes for *_, holds in check.evaluate(p))
     }
     assert caught == want
+
+
+def test_a_corrupted_domb_memo_falsifies_exactly_its_readers(monkeypatch):
+    """The memo's first sum feeds thm1 alone; its second feeds thm2 and d5."""
+    domb_sums = congruences._domb_sums
+    primes = primes_in_range(5, 50)
+    for slot, want in ((0, {"thm1"}), (1, {"thm2", "d5"})):
+        def corrupted(p, m, slot=slot):
+            sums = list(domb_sums(p, m))
+            sums[slot] = (sums[slot] + 1) % m
+            return tuple(sums)
+
+        monkeypatch.setattr(congruences, "_domb_sums", corrupted)
+        caught = {
+            tag
+            for tag in CONGRUENCE_TAGS
+            if not all(holds for p in primes for *_, holds in CHECKS[tag].evaluate(p))
+        }
+        assert caught == want, slot
+
+
+@pytest.mark.parametrize("first", ["thm1", "thm2", "d5"])
+def test_domb_memo_equals_the_unmemoized_sums_whichever_tag_fills_it(first):
+    for p in primes_in_range(5, 499):
+        [(_, lhs, *_)] = CHECKS[first].evaluate(p)
+        m = p ** 4
+        D = congruences._domb_residues(p, m)
+        want = (congruences._domb_sum_mod(D, m, -32, 1), congruences._domb_sum_mod(D, m, -2, 2))
+        assert congruences._domb_sums(p, m) == want, (first, p)
+        assert lhs == want[first != "thm1"], (first, p)
+    # the tag filled every entry and the comparison above re-read it
+    info = congruences._domb_sums.cache_info()
+    assert (info.hits, info.misses) == (93, 93)
+
+
+def test_central_terms_equal_the_binomial_oracle():
+    for p in primes_in_range(5, 97):
+        for k in range(1, 5):
+            m = p ** k
+            want = [comb(2 * i, i) ** 2 * pow(16, -i, m) % m for i in range(p)]
+            assert congruences._central_terms(p, m, p - 1) == want, (p, k)
+            assert congruences._central_terms(p, m, 3) == want[:4], (p, k)

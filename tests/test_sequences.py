@@ -14,7 +14,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -104,22 +103,6 @@ def test_sequence_table_rejects_negative_index():
     tab = SequenceTable("squares", lambda vals: len(vals) ** 2)
     with pytest.raises(IndexError):
         tab[-1]
-
-
-def test_sequence_table_concurrent_extension_is_consistent():
-    tab = SequenceTable("squares", lambda vals: len(vals) ** 2)
-    out = []
-
-    def reader():
-        out.append([tab[i] for i in range(200)])
-
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    want = [i ** 2 for i in range(200)]
-    assert all(o == want for o in out)
 
 
 def test_central_binomial_matches_comb():
@@ -272,6 +255,22 @@ def test_secant_route_rejects_bad_input():
         euler_number_mod_by_secant(-2, 5)
     with pytest.raises(ValueError):
         euler_number_mod_by_secant(5, 5)  # 5! is not a unit mod 5
+
+
+@pytest.mark.parametrize("p", [5, 101, 9973, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1])
+def test_kronecker_product_equals_the_schoolbook_product(p):
+    """Slots of up to 8 bytes go through native words, wider ones (the
+    last two primes) byte string by byte string; both give the product."""
+    rng = random.Random(p)
+    for la, lb, n in [(1, 1, 1), (1, 3, 4), (5, 17, 20), (17, 17, 9), (40, 33, 80)]:
+        a = [rng.randrange(p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+        want = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if i + j < n:
+                    want[i + j] += x * y
+        assert sequences._series_mul(a, b, p, n) == [c % p for c in want], (la, lb, n)
 
 
 # a Newton step whose last new coefficient is off by one
