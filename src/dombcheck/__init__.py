@@ -59,7 +59,6 @@ from .congruences import (
     PTooSmall,
     TAG_POWER,
     exact_lhs,
-    verify_c12_tail_input,
     verify_lemma,
     verify_proof_step,
     verify_thm1,

@@ -11,11 +11,14 @@ Subcommands:
       run every selected check and emit a machine-readable report.
       Exit code 0 when everything holds, 1 on any falsification, 2 on usage
       errors, which include a selection that leaves some check with nothing
-      to run.
+      to run and an --out path that cannot be written.
 
   series <rogers|ccl> --k K
       print the partial-sum approximation, the analytic target and the
       absolute error.
+
+Every command exits 141, without a traceback, when its stdout is closed
+before it is done (`| head`); 141 is what a shell reports for SIGPIPE.
 
 Reports are deterministic: results are sorted by (id, numeric params), keys
 are emitted in a fixed order, and big numbers are decimal strings.  The
@@ -36,8 +39,10 @@ A chunk holds len(tasks) // (8 J) tasks, or fewer once the rows it will
 return would pass ROW_CAP: a per-index congruence tag (c5, d4) returns
 (p+1)/2 rows at the prime p, every other task one.  So a worker never
 pickles a whole tag's rows at once, and a task list of default size is cut
-exactly by the task count.  Each worker ends itself once the CLI process
-is gone, also when that was killed by a signal it cannot catch.
+exactly by the task count.  A run that ends early (a closed stdout, an
+error, the order guard) stops the workers at once.  Once the CLI process is
+gone, also when it was killed by a signal it cannot catch, each worker
+stops before its next task.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -114,43 +120,38 @@ def _chunks(tasks, jobs):
 
 
 def _run_chunk(chunk) -> list[list[tuple]]:
-    return [_run_task(task) for task in chunk]
+    """Each task's rows, one list per task.  A pool worker exits before its
+    next task once the CLI process is gone, even if that was SIGKILLed; an
+    idle worker already exits when the task pipe closes."""
+    import multiprocessing as mp
 
-
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker initializer: a daemon thread ends this worker once the
-    process that started it is gone, however it died (a SIGKILL or a
-    SIGTERM leaves no chance to shut the pool down), instead of leaving it
-    blocked on the task queue for good."""
-    import os
-    import threading
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.25)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+    parent = mp.parent_process()  # None when run in-process
+    rows = []
+    for task in chunk:
+        if parent is not None and os.getppid() != parent.pid:
+            os._exit(1)
+        rows.append(_run_task(task))
+    return rows
 
 
 def _run_all(tasks, jobs):
-    """Each task's rows, one list per task, in task order."""
+    """Each task's rows, one list per task, in task order.  Closing the
+    generator before its end (an error or an early exit in the report)
+    stops the pool workers at once."""
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(_run_task, tasks)
         return
-    import concurrent.futures as cf
     import multiprocessing as mp
-    import os
 
     try:
         ctx = mp.get_context("fork")
     except ValueError:
         ctx = mp.get_context()
-    with cf.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                initializer=_exit_with_parent,
-                                initargs=(os.getpid(),)) as ex:
-        for rows in ex.map(_run_chunk, _chunks(tasks, jobs)):
+    with ctx.Pool(jobs) as pool:  # leaving the block early terminates the workers
+        for rows in pool.imap(_run_chunk, _chunks(tasks, jobs)):
             yield from rows
+        pool.close()  # at the end the workers run their exit handlers
+        pool.join()
 
 
 # ---------------------------------------------------------------- report
@@ -310,9 +311,11 @@ def cmd_verify(args) -> int:
     if starved:
         print(f"nothing to check in this range for: {', '.join(starved)}", file=sys.stderr)
         return 2
-    batches = _run_all(tasks, args.jobs)
-    if args.inject_failure:
-        batches = _slot_in(batches, _INJECTED)
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as e:
+        print(f"cannot write --out {args.out}: {e.strerror}", file=sys.stderr)
+        return 2
 
     head = {
         "tool_version": __version__,
@@ -326,12 +329,15 @@ def cmd_verify(args) -> int:
             "format": args.format,
         },
     }
-    t_wall = t0 if args.timing else None
-    if args.out:
-        with open(args.out, "w") as out:
-            failed = _write_report(out, args.format, head, batches, t_wall)
-    else:
-        failed = _write_report(sys.stdout, args.format, head, batches, t_wall)
+    rows = _run_all(tasks, args.jobs)
+    batches = _slot_in(rows, _INJECTED) if args.inject_failure else rows
+    try:
+        failed = _write_report(out, args.format, head, batches,
+                               t0 if args.timing else None)
+    finally:
+        rows.close()  # after an early end, stops any pool workers at once
+        if out is not sys.stdout:
+            out.close()
     return 1 if failed else 0
 
 
@@ -379,7 +385,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): point stdout at /dev/null so that the
+        # interpreter's flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # what a shell reports for a process killed by SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -385,20 +385,6 @@ def verify_proof_step(tag: str, p: int) -> list[CongruenceResult]:
     return _verify(tag, p)
 
 
-def verify_c12_tail_input(p: int):
-    """The mod p^3 ingredient feeding c12:
-    sum_{i=(p+1)/2}^{p-1} 16^-i C(2i,i)^2 == -2 p^2 E_{p-3} (mod p^3).
-
-    Not part of the tag catalog; exposed so the test suite can pin it
-    independently of the full c12 check.
-    """
-    _require_prime(p)
-    mod = PrimePowerModulus(p, 3)
-    lhs = Residue(sum(_central_terms(p, mod.m, p - 1)[(p + 1) // 2:]), mod)
-    rhs = Residue(-2 * p * p * _euler_p3(p), mod)
-    return lhs, rhs, lhs == rhs
-
-
 def _exact_domb_sum(p: int, base: int, coeff_shift: int) -> Fraction:
     """sum_{k<p} (3k + coeff_shift) Domb(k) / base^k, exactly."""
     return sum(Fraction((3 * k + coeff_shift) * domb(k), base ** k) for k in range(p))

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .arith import NotPrime, PrimePowerModulus, Residue, is_prime
@@ -381,11 +380,8 @@ CCL_LIMIT = 8.0 / (math.sqrt(3.0) * math.pi)
 
 
 def _to_real(q: Fraction) -> float:
-    # exact-rational to decimal division at 30 significant digits, then float
-    with localcontext() as ctx:
-        ctx.prec = 30
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-    return float(d)
+    # int true division is correctly rounded
+    return q.numerator / q.denominator
 
 
 def rogers_partial(K: int) -> float:

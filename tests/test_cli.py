@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import multiprocessing
@@ -335,6 +336,20 @@ def test_reports_do_not_depend_on_jobs(capsys):
     assert serial == parallel
 
 
+# sha256 of `dombcheck verify all` at the defaults, unchanged since the seed
+DEFAULT_REPORT_SHA256 = {
+    "json": "fc88dc824737f712990e5c355366b7c0bda8fe4e45d95e51725a9273fd6d5c12",
+    "csv": "3bed9f0b66d2b030089528e43b08bec3821e1dec656637e52a620de8476367f2",
+}
+
+
+@pytest.mark.parametrize("fmt, jobs", [("json", "1"), ("json", "2"), ("csv", "1")])
+def test_default_reports_are_pinned_byte_for_byte(capsys, fmt, jobs):
+    code, out, _ = run(capsys, "verify", "all", "--format", fmt, "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_REPORT_SHA256[fmt]
+
+
 def test_spawned_workers_give_the_serial_records(monkeypatch):
     # spawned workers import the package afresh, so every inner-sum prefix
     # starts empty in them; criterion 10 runs the pool under fork only
@@ -396,6 +411,44 @@ def running(pid: str) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """`python -m dombcheck.cli ARGV` as a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dombcheck.__file__).parent.parent))
+    return subprocess.Popen([sys.executable, "-m", "dombcheck.cli", *argv], env=env, **kwargs)
+
+
+def pool_workers(proc, deadline_s=30) -> list[str]:
+    """The pids of proc's two pool workers, once both are started; skips
+    where /proc does not list a process's children."""
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    workers = []
+    deadline = time.monotonic() + deadline_s
+    while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+        if not children.exists():
+            pytest.skip("no /proc/<pid>/task/<pid>/children here")
+        workers = children.read_text().split()
+    assert len(workers) == 2, "the pool never started"
+    return workers
+
+
+def wait_gone(workers, deadline_s) -> list[str]:
+    """The workers still running after up to deadline_s seconds."""
+    deadline = time.monotonic() + deadline_s
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [w for w in workers if running(w)]
+
+
+def reap(proc, workers) -> None:
+    """Kill whatever of the CLI and its workers is still there."""
+    proc.kill()
+    proc.wait()
+    for w in workers:
+        if running(w):
+            os.kill(int(w), signal.SIGKILL)
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
 def test_pool_workers_exit_when_the_cli_is_killed(sig):
@@ -427,6 +480,60 @@ def test_pool_workers_exit_when_the_cli_is_killed(sig):
         for w in workers:
             if running(w):
                 os.kill(int(w), signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_pool_workers_stop_mid_chunk_when_the_cli_is_killed():
+    # 1833 thm1 tasks from 3000 on: each worker's first chunk holds 114 of
+    # them, 1.8 s of work or more on a 2-core x86-64 host, and the CLI is
+    # killed 0.5 s into it; a worker that left only between chunks would
+    # outlive the CLI by more than a second
+    proc = cli_process("verify", "congruences", "--ids", "thm1", "--prime-lo", "3000",
+                       "--prime-hi", "20011", "--jobs", "2", "--out", os.devnull)
+    workers = []
+    try:
+        workers = pool_workers(proc)
+        time.sleep(0.5)
+        proc.kill()
+        proc.wait()
+        assert not wait_gone(workers, 0.5)
+    finally:
+        reap(proc, workers)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "congruences", "--prime-hi", "997", "--jobs", "1"),
+     ("verify", "congruences", "--prime-hi", "997", "--jobs", "2"),
+     ("compute", "domb", "--n-max", "2000")],
+    ids=["verify_jobs1", "verify_jobs2", "compute"],
+)
+def test_a_closed_stdout_ends_the_run_quietly(argv):
+    workers = []
+    with cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            proc.stdout.read(1)  # at --jobs 2, the head comes as the pool forks
+            if argv[-2:] == ("--jobs", "2"):
+                workers = pool_workers(proc)
+            proc.stdout.close()
+            closed = time.monotonic()
+            code = proc.wait(timeout=10)
+            # a run that went on to its end would take about 2 s more
+            assert time.monotonic() - closed < 1.2
+            assert (code, proc.stderr.read()) == (141, b"")
+            assert not wait_gone(workers, 0.2)
+        finally:
+            reap(proc, workers)
+
+
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = cli_process("verify", "all", "--out", str(out),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    stdout, stderr = proc.communicate(timeout=30)
+    assert proc.returncode == 2
+    assert stdout == ""
+    assert stderr == f"cannot write --out {out}: No such file or directory\n"
 
 
 def test_records_come_out_sorted(capsys):
@@ -506,6 +613,18 @@ def test_rows_out_of_order_are_refused(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="out of order"):
         main(["verify", "identities", "--ids", "cz", "--n-max", "3"])
     capsys.readouterr()
+
+
+def test_an_early_end_stops_the_pool_workers_at_once(monkeypatch):
+    descending = dataclasses.replace(
+        CHECKS["cz"], grid=lambda n_max, primes: ((n,) for n in range(n_max, -1, -1))
+    )
+    monkeypatch.setitem(CHECKS, "cz", descending)
+    with pytest.raises(RuntimeError, match="out of order") as raised:
+        main(["verify", "identities", "--ids", "cz", "--n-max", "60", "--jobs", "2",
+              "--out", os.devnull])
+    # the traceback still holds the run's frames, and no worker is left
+    assert raised.traceback and multiprocessing.active_children() == []
 
 
 def test_traced_benchmark_run_still_works(tmp_path):

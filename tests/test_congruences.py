@@ -25,7 +25,6 @@ from dombcheck.congruences import (
     PTooSmall,
     TAG_POWER,
     exact_lhs,
-    verify_c12_tail_input,
     verify_lemma,
     verify_proof_step,
     verify_thm1,
@@ -117,11 +116,20 @@ def test_c11_and_c12_partition_the_thm1_sum():
         assert (c11.lhs.value + c12.lhs.value) % m == verify_thm1(p).lhs.value
 
 
+def c12_tail_input(p: int):
+    """The mod p^3 ingredient feeding c12, outside the tag catalog:
+    sum_{i=(p+1)/2}^{p-1} 16^-i C(2i,i)^2 == -2 p^2 E_{p-3} (mod p^3)."""
+    mod = PrimePowerModulus(p, 3)
+    lhs = Residue(sum(congruences._central_terms(p, mod.m, p - 1)[(p + 1) // 2:]), mod)
+    rhs = Residue(-2 * p * p * congruences._euler_p3(p), mod)
+    return lhs, rhs, lhs == rhs
+
+
 def test_c12_tail_input_holds_and_is_frozen_at_5():
-    lhs, rhs, holds = verify_c12_tail_input(5)
+    lhs, rhs, holds = c12_tail_input(5)
     assert (lhs.value, lhs.modulus.m, holds) == (50, 125, True)
     for p in SMALL_PRIMES:
-        assert verify_c12_tail_input(p)[2]
+        assert c12_tail_input(p)[2]
 
 
 # ---------------------------------------------------------------- dual routes
